@@ -131,14 +131,11 @@ def _weighted_rhs(p: ProblemSpec, z: WeightedGridFunction) -> WeightedGridFuncti
     extrapolation from the first two interior nodes."""
     grid = z.grid
     tau = grid.offsets()
-    z_unw = z.unweighted()
     vals = np.empty(grid.n_nodes)
-    sig = p.sigma
-    for i in range(1, grid.n_nodes):
-        fi = exprlang.evaluate(p.f, float(grid.nodes[i]), float(z_unw[i - 1]))
-        vals[i] = tau[i] ** sig * fi if sig else fi
+    vals[1:] = tau[1:] ** p.sigma * exprlang.evaluate(
+        p.f, grid.nodes[1:], z.unweighted())
     vals[0] = (vals[1] * tau[2] - vals[2] * tau[1]) / (tau[2] - tau[1])
-    return WeightedGridFunction(grid, sig, vals)
+    return WeightedGridFunction(grid, p.sigma, vals)
 
 
 def apply_T(p: ProblemSpec, z: WeightedGridFunction) -> WeightedGridFunction:

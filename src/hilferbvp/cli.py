@@ -6,7 +6,8 @@
     hilfer example [--json]
 
 Exit codes: 0 success / a theorem applies; 1 input error; 2 no theorem
-applies; 3 solver failed to converge; 4 an operator identity failed.
+applies; 3 solver failed to converge or f failed to evaluate; 4 an
+operator identity failed.
 
 Output is deterministic for identical inputs; the only non-reproducible
 lines are timing notes prefixed with '#'.
@@ -189,8 +190,8 @@ def problem_from_dict(raw: dict) -> tuple[ProblemSpec, dict]:
 
 
 def _make_grid(p: ProblemSpec, solver: dict, args) -> Grid:
-    nodes = args.nodes if getattr(args, "nodes", None) else solver["nodes"]
-    grading = args.grading if getattr(args, "grading", None) else solver["grading"]
+    nodes = args.nodes if args.nodes is not None else solver["nodes"]
+    grading = args.grading if args.grading is not None else solver["grading"]
     try:
         return Grid(p.a, p.b, int(nodes), float(grading))
     except GridError as exc:
@@ -249,12 +250,8 @@ def cmd_solve(args) -> int:
     if max_iter < 1:
         raise CLIInputError(f"max-iter: must be >= 1, got {max_iter}")
     t0 = time.perf_counter()
-    try:
-        res = solve_picard(p, grid, tol=tol, max_iter=max_iter,
-                           divergence_factor=dfac)
-    except exprlang.EvalError as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    res = solve_picard(p, grid, tol=tol, max_iter=max_iter,
+                       divergence_factor=dfac)
     elapsed = time.perf_counter() - t0
     if args.out:
         write_csv(res.solution, args.out)
@@ -418,6 +415,9 @@ def main(argv=None) -> int:
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except exprlang.EvalError as exc:
+        print(f"evaluation failed: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (exprlang.ParseError, DegenerateBoundary, GridError, OrderError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

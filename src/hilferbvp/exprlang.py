@@ -9,16 +9,22 @@ Small arithmetic grammar over the variables t and z:
     primary := NUMBER | 't' | 'z' | NAME '(' expr ')' | '(' expr ')'
 
 Precedence: ^  >  unary -  >  * /  >  + -, so "-t^2" means -(t^2).
-Functions: sin cos exp ln abs sqrt.  Numbers accept scientific notation.
-Evaluation is strict about domains: division by zero, ln of a non-positive
-number, sqrt of a negative number, a negative base under a non-integer
-exponent, and any non-finite intermediate all raise EvalError.
+Functions: sin cos exp ln abs sqrt.  Numbers accept scientific notation
+and must be finite.
+
+evaluate takes t and z as floats or as numpy arrays that broadcast
+together, so one call covers a whole mesh or sample grid.  Evaluation is
+strict about domains: division by zero, ln of a non-positive number, sqrt
+of a negative number, a negative base under a non-integer exponent, 0 to a
+negative power, and any non-finite intermediate all raise EvalError, which
+names the first offending value.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 __all__ = [
     "Expr", "Number", "Var", "Unary", "Binary", "Call",
@@ -26,7 +32,12 @@ __all__ = [
     "parse", "evaluate", "to_string",
 ]
 
-_FUNCTIONS = ("sin", "cos", "exp", "ln", "abs", "sqrt")
+# the language's functions and binary operators, as the numpy ufuncs that
+# evaluate them
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
+              "abs": np.abs, "sqrt": np.sqrt}
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply,
+              "/": np.divide, "^": np.power}
 _VARIABLES = ("t", "z")
 
 
@@ -201,7 +212,10 @@ class _Parser:
     def parse_primary(self) -> Expr:
         kind, val, off = self.advance()
         if kind == _TOKEN_NUM:
-            return Number(float(val))
+            value = float(val)
+            if not np.isfinite(value):
+                raise ParseError(off, "a finite number", val)
+            return Number(value)
         if kind == _TOKEN_OP and val == "(":
             node = self.parse_expr()
             self.expect_op(")", "')'")
@@ -234,82 +248,57 @@ def parse(text: str) -> Expr:
 
 # ---------------------------------------------------------------- evaluator
 
-def _check_finite(v: float) -> float:
-    if not math.isfinite(v):
-        raise EvalError(f"non-finite value {v}")
+def _check(bad, message: str, *values) -> None:
+    """Raise EvalError if bad holds anywhere; message is formatted with the
+    values at the first such point."""
+    if np.any(bad):
+        bad, *values = np.broadcast_arrays(bad, *values)
+        i = np.argmax(bad)
+        raise EvalError(message.format(*(float(v.flat[i]) for v in values)))
+
+
+def _eval(e: Expr, t, z):
+    if isinstance(e, Number):
+        v = np.float64(e.value)
+    elif isinstance(e, Var):
+        v = t if e.name == "t" else z
+    elif isinstance(e, Unary):
+        v = -_eval(e.operand, t, z)
+    elif isinstance(e, Binary):
+        a = _eval(e.left, t, z)
+        b = _eval(e.right, t, z)
+        if e.op == "/":
+            _check(b == 0.0, "division of {} by zero", a)
+        elif e.op == "^":
+            _check((a < 0.0) & (b != np.round(b)),
+                   "negative base {} under non-integer exponent {}", a, b)
+            _check((a == 0.0) & (b < 0.0), "0 raised to negative power {}", b)
+        v = _OPERATORS[e.op](a, b)
+    elif isinstance(e, Call):
+        v = _eval(e.arg, t, z)
+        if e.func == "ln":
+            _check(v <= 0.0, "ln of non-positive value {}", v)
+        elif e.func == "sqrt":
+            _check(v < 0.0, "sqrt of negative value {}", v)
+        v = _FUNCTIONS[e.func](v)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    _check(~np.isfinite(v), "non-finite value {}", v)
     return v
 
 
-def _int_pow(base: float, k: int) -> float:
-    # repeated multiplication by squaring; keeps (-2)^3 etc. exact
-    if k < 0:
-        if base == 0.0:
-            raise EvalError("0 raised to a negative power")
-        return 1.0 / _int_pow(base, -k)
-    acc, sq = 1.0, base
-    while k:
-        if k & 1:
-            acc *= sq
-        sq *= sq
-        k >>= 1
-    return acc
+def evaluate(e: Expr, t, z):
+    """Value of e at (t, z).
 
-
-def evaluate(e: Expr, t: float, z: float) -> float:
-    """Value of e at (t, z).  Raises EvalError off the expression's domain."""
-    if isinstance(e, Number):
-        return e.value
-    if isinstance(e, Var):
-        return t if e.name == "t" else z
-    if isinstance(e, Unary):
-        return -evaluate(e.operand, t, z)
-    if isinstance(e, Binary):
-        a = evaluate(e.left, t, z)
-        if e.op == "^":
-            b = evaluate(e.right, t, z)
-            try:
-                if a < 0.0:
-                    if b != round(b):
-                        raise EvalError(
-                            f"negative base {a} under non-integer exponent {b}")
-                    return _check_finite(_int_pow(a, int(round(b))))
-                if a == 0.0 and b < 0.0:
-                    raise EvalError("0 raised to a negative power")
-                return _check_finite(a ** b)
-            except OverflowError:
-                raise EvalError("overflow in power") from None
-        b = evaluate(e.right, t, z)
-        if e.op == "+":
-            return _check_finite(a + b)
-        if e.op == "-":
-            return _check_finite(a - b)
-        if e.op == "*":
-            return _check_finite(a * b)
-        if b == 0.0:
-            raise EvalError("division by zero")
-        return _check_finite(a / b)
-    if isinstance(e, Call):
-        v = evaluate(e.arg, t, z)
-        try:
-            if e.func == "sin":
-                return math.sin(v)
-            if e.func == "cos":
-                return math.cos(v)
-            if e.func == "exp":
-                return _check_finite(math.exp(v))
-            if e.func == "ln":
-                if v <= 0.0:
-                    raise EvalError(f"ln of non-positive value {v}")
-                return math.log(v)
-            if e.func == "abs":
-                return abs(v)
-            if e.func == "sqrt":
-                if v < 0.0:
-                    raise EvalError(f"sqrt of negative value {v}")
-                return math.sqrt(v)
-        except OverflowError:
-            raise EvalError(f"overflow in {e.func}") from None
-    raise TypeError(f"not an expression node: {e!r}")
+    t and z are floats or arrays that broadcast together; float inputs give
+    a float, anything else a new array of the broadcast shape.  Raises
+    EvalError if any point lies off the expression's domain.
+    """
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+    with np.errstate(all="ignore"):
+        v = _eval(e, t, z)
+    shape = np.broadcast_shapes(t.shape, z.shape)
+    return np.array(np.broadcast_to(v, shape)) if shape else float(v)
 
 
 # ------------------------------------------------------------ pretty-printer

@@ -178,6 +178,7 @@ def _operator(grid: Grid, mu: float, sigma: float,
     M *= rho[:, None]
     if sigma >= mu:
         M[0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
+    M.setflags(write=False)  # cached and shared by every later caller
     return M
 
 

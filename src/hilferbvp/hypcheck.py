@@ -128,14 +128,8 @@ def weighted_sup(expr: Expr, p: ProblemSpec, grid: Grid | None = None,
                  z_value: float = 0.0) -> float:
     """max over sample nodes of (t-a)^(1-gamma) |expr(t, z_value)|."""
     ts = _t_samples(p, grid)
-    sig = p.sigma
-    best = 0.0
-    for t in ts:
-        t = float(t)
-        v = abs(exprlang.evaluate(expr, t, z_value))
-        w = (t - p.a) ** sig * v if sig else v
-        best = max(best, w)
-    return best
+    v = np.abs(exprlang.evaluate(expr, ts, z_value))
+    return float(((ts - p.a) ** p.sigma * v).max())
 
 
 def estimate_lipschitz(f: Expr, p: ProblemSpec, z_range: float,
@@ -152,17 +146,12 @@ def estimate_lipschitz(f: Expr, p: ProblemSpec, z_range: float,
     ts = _t_samples(p, grid)
     zs = np.linspace(-z_range, z_range, samples)
     tight = z_range * 1e-3
-    pairs = [(zs[j], zs[j + 1]) for j in range(len(zs) - 1)]
-    pairs += [(z, z + tight) for z in zs[:-1:4]]
-    best = 0.0
-    for t in ts:
-        t = float(t)
-        for z1, z2 in pairs:
-            z1, z2 = float(z1), float(z2)
-            v1 = exprlang.evaluate(f, t, z1)
-            v2 = exprlang.evaluate(f, t, z2)
-            best = max(best, abs(v2 - v1) / (z2 - z1))
-    return best
+    # pair endpoints: consecutive samples, then every fourth plus `tight`
+    z1 = np.concatenate([zs[:-1], zs[:-1:4]])
+    z2 = np.concatenate([zs[1:], zs[:-1:4] + tight])
+    v1 = exprlang.evaluate(f, ts[:, None], z1)
+    v2 = exprlang.evaluate(f, ts[:, None], z2)
+    return float((np.abs(v2 - v1) / (z2 - z1)).max())
 
 
 def estimate_growth(f: Expr, p: ProblemSpec,
@@ -174,18 +163,13 @@ def estimate_growth(f: Expr, p: ProblemSpec,
     vanishes at z = 0 the slope itself is returned as N with zeta = 1.
     """
     ts = _t_samples(p, grid)
-    sig = p.sigma
+    tau = ts - p.a
 
     def m_of(rad: float) -> float:
-        best = 0.0
-        for t in ts:
-            t = float(t)
-            tau = t - p.a
-            zval = rad * tau ** (-sig) if sig else rad
-            for zz in (zval, -zval) if rad else (0.0,):
-                v = abs(exprlang.evaluate(f, t, zz))
-                best = max(best, tau ** sig * v if sig else v)
-        return best
+        zval = rad * tau ** (-p.sigma)
+        zz = np.stack([zval, -zval]) if rad else zval
+        v = np.abs(exprlang.evaluate(f, ts, zz))
+        return float((tau ** p.sigma * v).max())
 
     m0 = m_of(0.0)
     slope = 0.0

@@ -1,9 +1,8 @@
 """Gamma and Beta functions on the real line.
 
-Lanczos approximation (g = 7, 9 terms) for x > 0.5, reflected through
-Gamma(x) Gamma(1-x) = pi / sin(pi x) for x < 0.5.  Relative error is a few
-ulp over the argument ranges this package meets (|x| < 50 or so), far inside
-the 1e-13 the weighted-space constants need.
+gamma is the standard library's math.gamma behind a pole guard: arguments
+within POLE_TOL of 0, -1, -2, ... raise PoleError instead of returning a
+huge, meaningless value.
 """
 from __future__ import annotations
 
@@ -13,19 +12,6 @@ __all__ = ["PoleError", "gamma", "beta", "POLE_TOL"]
 
 # arguments this close to a non-positive integer count as sitting on a pole
 POLE_TOL = 1e-12
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 class PoleError(ValueError):
@@ -49,16 +35,7 @@ def gamma(x: float) -> float:
         raise ValueError("gamma of nan")
     if _near_pole(x):
         raise PoleError(f"gamma pole at x = {x!r}")
-    if x < 0.5:
-        # reflection; sin(pi x) is safely away from 0 here
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    # single exp keeps the intermediate in range until Gamma itself overflows
-    return math.sqrt(2.0 * math.pi) * acc * math.exp((z + 0.5) * math.log(t) - t)
+    return math.gamma(x)
 
 
 def beta(x: float, y: float) -> float:

@@ -128,6 +128,7 @@ def test_solve_tol_and_max_iter_overrides(example_file, capsys):
     (lambda raw: raw.update(f="2 +"), "f:"),
     (lambda raw: raw.update(extra=1.0), "unknown field"),
     (lambda raw: raw.update(b=-1.0), "must exceed"),
+    (lambda raw: raw.update(f="1e999 * z"), "a finite number"),
 ])
 def test_bad_problem_files(tmp_path, capsys, mangle, fragment):
     raw = _no_bounds_problem()
@@ -137,6 +138,26 @@ def test_bad_problem_files(tmp_path, capsys, mangle, fragment):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_INPUT
     assert fragment in err
+
+
+@pytest.mark.parametrize("flag", ["--nodes", "--grading"])
+def test_zero_grid_flag_rejected(example_file, capsys, flag):
+    # 0 is a bad value, not an absent flag: no fallback to the file's mesh
+    rc = cli.main(["solve", example_file, flag, "0"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INPUT
+    assert "error:" in err
+
+
+def test_check_eval_failure_exit(tmp_path, capsys):
+    # estimating growth samples z <= 0, where ln(z) is undefined
+    raw = _no_bounds_problem()
+    raw["f"] = "ln(z)"
+    path = _write_problem(tmp_path, raw)
+    rc = cli.main(["check", path])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert "evaluation failed: ln of non-positive value" in err
 
 
 def test_invalid_json_file(tmp_path, capsys):

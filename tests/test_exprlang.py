@@ -2,13 +2,17 @@
 
 Covers tokenizing, parsing, evaluation, error reporting, and the
 round-trip guarantee that printing and reparsing rebuilds the exact
-same tree.
+same tree.  The array evaluator is checked against a scalar tree-walk
+kept here as the reference implementation.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hilferbvp.exprlang import (
     Binary,
@@ -105,6 +109,7 @@ MALFORMED = [
     "2 @ 3",
     "foo(2)",
     "2 + bar",
+    "1e999",
 ]
 
 
@@ -133,6 +138,10 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as exc:
         parse("2 2")
     assert exc.value.offset == 2
+    with pytest.raises(ParseError) as exc:
+        parse("t + 1e999")
+    assert exc.value.offset == 4
+    assert exc.value.expected == "a finite number"
 
 
 def test_parse_error_fields():
@@ -160,6 +169,30 @@ def test_evaluation_domain_errors(text, t, z):
     tree = parse(text)
     with pytest.raises(EvalError):
         evaluate(tree, t, z)
+
+
+def test_domain_error_names_first_offending_value():
+    t = np.array([2.0, 1.0, -3.0, -4.0])
+    with pytest.raises(EvalError, match="sqrt of negative value -3.0"):
+        evaluate(parse("sqrt(t)"), t, 0.0)
+    # first in C order over the broadcast (2, 4) grid
+    with pytest.raises(EvalError, match="ln of non-positive value -6.0"):
+        evaluate(parse("ln(t*z)"), t, np.array([[2.0], [1.0]]))
+
+
+def test_float_and_array_results():
+    tree = parse("t^(-1/6) + (1/16)*t^(5/6)*sin(z)")
+    one = evaluate(tree, 0.5, 0.25)
+    assert type(one) is float
+    t = np.array([0.5, 1.0, 1.5])
+    z = np.array([[0.25], [-0.75]])
+    got = evaluate(tree, t, z)
+    assert got.shape == (2, 3)
+    assert got[0, 0] == pytest.approx(one, rel=1e-14)
+    # constant subtrees still fill the broadcast shape
+    assert np.array_equal(evaluate(parse("2"), t, 0.0), [2.0, 2.0, 2.0])
+    # a bare variable returns a copy, never the caller's array
+    assert evaluate(parse("t"), t, 0.0) is not t
 
 
 def test_eval_error_is_arithmetic_error():
@@ -229,3 +262,115 @@ def test_printer_parenthesizes_structure():
 
 def test_whitespace_insensitive():
     assert parse("2+3*t") == parse("  2 + 3 * t  ")
+
+
+# ------------------------------------------------------ reference evaluator
+
+def _check_finite(v):
+    if not math.isfinite(v):
+        raise EvalError(f"non-finite value {v}")
+    return v
+
+
+def _int_pow(base, k):
+    if k < 0:
+        if base == 0.0:
+            raise EvalError("0 raised to a negative power")
+        return 1.0 / _int_pow(base, -k)
+    acc, sq = 1.0, base
+    while k:
+        if k & 1:
+            acc *= sq
+        sq *= sq
+        k >>= 1
+    return acc
+
+
+def _reference_evaluate(e, t, z):
+    """Scalar tree-walk over Python floats, one (t, z) point per call."""
+    if isinstance(e, Number):
+        return e.value
+    if isinstance(e, Var):
+        return t if e.name == "t" else z
+    if isinstance(e, Unary):
+        return -_reference_evaluate(e.operand, t, z)
+    if isinstance(e, Binary):
+        a = _reference_evaluate(e.left, t, z)
+        if e.op == "^":
+            b = _reference_evaluate(e.right, t, z)
+            try:
+                if a < 0.0:
+                    if b != round(b):
+                        raise EvalError(
+                            f"negative base {a} under non-integer exponent {b}")
+                    return _check_finite(_int_pow(a, int(round(b))))
+                if a == 0.0 and b < 0.0:
+                    raise EvalError("0 raised to a negative power")
+                return _check_finite(a ** b)
+            except OverflowError:
+                raise EvalError("overflow in power") from None
+        b = _reference_evaluate(e.right, t, z)
+        if e.op == "+":
+            return _check_finite(a + b)
+        if e.op == "-":
+            return _check_finite(a - b)
+        if e.op == "*":
+            return _check_finite(a * b)
+        if b == 0.0:
+            raise EvalError("division by zero")
+        return _check_finite(a / b)
+    if isinstance(e, Call):
+        v = _reference_evaluate(e.arg, t, z)
+        try:
+            if e.func == "sin":
+                return math.sin(v)
+            if e.func == "cos":
+                return math.cos(v)
+            if e.func == "exp":
+                return _check_finite(math.exp(v))
+            if e.func == "ln":
+                if v <= 0.0:
+                    raise EvalError(f"ln of non-positive value {v}")
+                return math.log(v)
+            if e.func == "abs":
+                return abs(v)
+            if e.func == "sqrt":
+                if v < 0.0:
+                    raise EvalError(f"sqrt of negative value {v}")
+                return math.sqrt(v)
+        except OverflowError:
+            raise EvalError(f"overflow in {e.func}") from None
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+# trees drawn like _random_tree, with ln added so its domain rule is hit
+_TREES = st.recursive(
+    st.one_of(st.floats(0.1, 3.0).map(Number), st.sampled_from([Var("t"), Var("z")])),
+    lambda sub: st.one_of(
+        sub.map(lambda a: Unary("-", a)),
+        st.builds(Binary, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "ln", "sqrt", "abs"]),
+                  sub)),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(tree=_TREES,
+       t=arrays(np.float64, 64, elements=st.floats(0.1, 2.0)),
+       z=arrays(np.float64, 64, elements=st.floats(-1.0, 1.0)))
+def test_array_evaluate_matches_reference(tree, t, z):
+    """One array call raises exactly when the reference raises at some
+    point, and otherwise agrees with it point by point."""
+    try:
+        ref = np.array([_reference_evaluate(tree, float(ti), float(zi))
+                        for ti, zi in zip(t, z)])
+    except EvalError:
+        with pytest.raises(EvalError):
+            evaluate(tree, t, z)
+        return
+    got = evaluate(tree, t, z)
+    assert got.shape == t.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    one = evaluate(tree, float(t[0]), float(z[0]))
+    assert type(one) is float
+    assert abs(one - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))

@@ -157,17 +157,26 @@ def test_node0_vanishes_sigma_lt_mu():
 
 
 def test_hilfer_derivative_limits_on_t_squared():
-    """Both parameter extremes recover the same classical derivative of t^2."""
-    n = 1024
-    g = Grid(0.0, 1.0, n, 2.0)
-    fn = WeightedGridFunction(g, 0.0, g.nodes**2)
-    want = 2.0 / gamma(2.5) * g.nodes**1.5
-    lo, hi = n // 8, 7 * n // 8
-    for beta in (0.0, 1.0):
+    """D^(alpha,beta) t^2 = 2/Gamma(3-alpha) t^(2-alpha) for every beta: both
+    parameter extremes and the paper's beta = 1/3, at second order."""
+    def interior_error(n, beta):
+        g = Grid(0.0, 1.0, n, 2.0)
+        fn = WeightedGridFunction(g, 0.0, g.nodes**2)
+        want = 2.0 / gamma(2.5) * g.nodes**1.5
+        lo, hi = n // 8, 7 * n // 8
         got = hilfer_derivative(0.5, beta, fn)
         assert got.sigma == 0.0
-        err = np.abs(got.values[lo:hi] - want[lo:hi]).max()
-        assert err < 5e-2
+        return np.abs(got.values[lo:hi] - want[lo:hi]).max()
+
+    for beta in (0.0, 1.0 / 3.0, 1.0):
+        coarse, fine = interior_error(512, beta), interior_error(1024, beta)
+        assert fine < 5e-2
+        if beta < 1.0:
+            assert np.log2(coarse / fine) >= 1.8
+        else:
+            # three-point differences are exact on t^2 and product
+            # integration is exact on the linear result: rounding only
+            assert fine < 1e-10
 
 
 def test_hilfer_derivative_validates_orders():
@@ -213,3 +222,13 @@ def test_operator_cache_reuse():
     hits_before = _operator.cache_info().hits
     rl_integral(0.5, fn)
     assert _operator.cache_info().hits > hits_before
+
+
+def test_cached_operator_is_read_only():
+    g = Grid(0.0, 1.0, 64, 2.0)
+    M = _operator(g, 0.5, 1.0 / 3.0, 6, 8)
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[1, 1] = 0.0
+    fn = WeightedGridFunction(g, 1.0 / 3.0, np.ones(65))
+    assert np.array_equal(rl_integral(0.5, fn).values, M @ fn.values)
