@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .fracops import hilfer_gamma, rl_integral
+from .fracops import hilfer_gamma, rl_integral, rl_integral_end
 from .gridfn import Grid, WeightedGridFunction, weighted_norm
 from .specfun import gamma as gamma_fn
 
@@ -124,6 +124,10 @@ def _check_grid(p: ProblemSpec, grid: Grid) -> None:
         raise ValueError(
             f"grid interval [{grid.a}, {grid.b}] differs from problem "
             f"interval [{p.a}, {p.b}]")
+    if grid.n_panels < 2:
+        raise ValueError(
+            f"need at least 2 panels, got {grid.n_panels}: the right-hand "
+            f"side at t = a is extrapolated from two interior nodes")
 
 
 def _weighted_rhs(p: ProblemSpec, z: WeightedGridFunction) -> WeightedGridFunction:
@@ -150,8 +154,7 @@ def apply_T(p: ProblemSpec, z: WeightedGridFunction) -> WeightedGridFunction:
 
     F = _weighted_rhs(p, z)
     i_alpha = rl_integral(p.alpha, F)
-    i_bdry = rl_integral(sig + p.alpha, F)  # order 1 - gamma + alpha
-    tail = i_bdry.values[-1]
+    tail = rl_integral_end(sig + p.alpha, F)  # order 1 - gamma + alpha
 
     expo = sig - i_alpha.sigma  # alpha when sigma > alpha, else sigma
     w = p.boundary_const - p.resolvent / gamma_fn(p.gamma) * tail \
@@ -171,7 +174,7 @@ def boundary_functional(p: ProblemSpec, z: WeightedGridFunction) -> float:
     if mu == 0.0:
         right = float(z.values[-1])
     else:
-        right = float(rl_integral(mu, z).values[-1])
+        right = rl_integral_end(mu, z)
     return left + p.d * right
 
 
@@ -188,6 +191,9 @@ def solve_picard(p: ProblemSpec, grid: Grid, *, tol: float = 1e-10,
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not divergence_factor > 1.0:
+        raise ValueError(
+            f"divergence_factor must be > 1, got {divergence_factor}")
     z = boundary_term(p, grid)
     steps: list[float] = []
     converged = False

@@ -25,8 +25,7 @@ import numpy as np
 from . import exprlang
 from .bvpsolve import (Bounds, DegenerateBoundary, ProblemSpec,
                        solve_picard)
-from .fracops import (OrderError, hilfer_derivative, power_rule, rl_integral,
-                      worker_count)
+from .fracops import OrderError, hilfer_derivative, power_rule, rl_integral
 from .gridfn import Grid, GridError, WeightedGridFunction, write_csv
 from .hypcheck import applicability_report
 from .specfun import gamma
@@ -409,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
-        worker_count()  # validate HILFER_THREADS before any assembly
         args = ap.parse_args(argv)
         return args.fn(args)
     except CLIInputError as exc:

@@ -11,11 +11,14 @@ weighted samples w_j = (s_j - a)^sigma g(s_j).  Panel rules:
     interpolant is done in closed form with two Beta values;
   * everything in between: Gauss-Legendre.
 
-The result is linear in the w vector, so each (grid, mu, sigma) gets a dense
-operator matrix, cached and reused; a fixed-point iteration then costs one
-matrix-vector product per step.  Output weighting: sigma_out =
-max(sigma - mu, 0), and the stored node-0 value is the analytic limit
-w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) when sigma >= mu, else 0.
+The result is linear in the w vector, so every target node has an operator
+row, and one builder assembles the rows for any set of targets.  I^mu is the
+only whole matrix: each (grid, mu, sigma) gets one, cached and reused, so a
+fixed-point iteration costs one matrix-vector product per step.  A value
+needed only at t = b (rl_integral_end) comes from the last row alone, also
+cached.  Output weighting: sigma_out = max(sigma - mu, 0), and the stored
+node-0 value is the analytic limit w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) when
+sigma >= mu, else 0.
 
 hilfer_derivative composes integral - derivative - integral,
 I^(beta(1-alpha)) D I^((1-beta)(1-alpha)), with three-point finite
@@ -24,8 +27,6 @@ verification tool: the solver itself never differentiates.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -36,11 +37,9 @@ from .specfun import beta as beta_fn
 from .specfun import gamma
 
 __all__ = [
-    "OrderError", "rl_integral", "power_rule", "hilfer_derivative",
-    "hilfer_gamma", "worker_count",
+    "OrderError", "rl_integral", "rl_integral_end", "power_rule",
+    "hilfer_derivative", "hilfer_gamma",
 ]
-
-_CHUNK = 128
 
 
 class OrderError(ValueError):
@@ -54,20 +53,6 @@ def hilfer_gamma(alpha: float, beta: float) -> float:
     if not 0.0 <= beta <= 1.0:
         raise OrderError(f"beta must be in [0, 1], got {beta}")
     return alpha + beta * (1.0 - alpha)
-
-
-def worker_count() -> int:
-    """Thread count for operator assembly, from HILFER_THREADS (0 = auto)."""
-    raw = os.environ.get("HILFER_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"HILFER_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"HILFER_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(8, os.cpu_count() or 1)
-    return n
 
 
 def _gauss_legendre01(n: int):
@@ -87,79 +72,49 @@ def _gauss_jacobi_left(n: int, sigma: float):
     return (x + 1.0) / 2.0, kap * 2.0 ** (sigma - 1.0)
 
 
-def _assemble_rows(M, rows, tau, h, mu, sigma, gl, gjl, gjr):
-    """Fill operator rows for targets i in `rows` (all >= 2, or >= 1 when
-    sigma == 0).  Raw integrals only; no 1/Gamma(mu), no output weighting."""
-    n_panels = len(h)
-    jmin = 1 if sigma > 0.0 else 0
-    x_gl, w_gl = gl
-    i_arr = np.asarray(rows)
+def _rows(grid: Grid, mu: float, sigma: float, n_gl: int, n_gj: int,
+          targets: np.ndarray) -> np.ndarray:
+    """Operator rows for the node indices `targets`: row r takes
+    stored w values of g to the stored w value of I^mu g at node targets[r].
+    The 1/Gamma(mu) factor, the output weighting, the node-1 closed form and
+    the node-0 limit are applied."""
+    tau = grid.offsets()
+    h = np.diff(tau)
+    M = np.zeros((len(targets), grid.n_nodes))
+    first = 2 if sigma > 0.0 else 1   # targets below are set in closed form
+    jmin = first - 1                  # panel 0 has its own rule if sigma > 0
+    reg = np.flatnonzero(targets >= first)
+    i_reg = targets[reg]
 
-    # ---- interior panels jmin..i-2, Gauss-Legendre
-    jmax = int(i_arr.max()) - 2
-    if jmax >= jmin:
-        js = np.arange(jmin, jmax + 1)
-        s_off = tau[js][:, None] + h[js][:, None] * x_gl[None, :]   # (J, K)
-        base = w_gl[None, :] * h[js][:, None]
-        if sigma > 0.0:
-            base = base * s_off ** (-sigma)
-        diff = tau[i_arr][:, None, None] - s_off[None, :, :]        # (C, J, K)
-        mask = js[None, :] <= (i_arr[:, None] - 2)
-        kern = np.where(diff > 0.0, diff, 1.0) ** (mu - 1.0)
-        kern *= mask[:, :, None]
-        contrib = kern * base[None, :, :]
-        c0 = contrib @ (1.0 - x_gl)                                  # (C, J)
-        c1 = contrib @ x_gl
-        M[np.ix_(i_arr, js)] += c0
-        M[np.ix_(i_arr, js + 1)] += c1
+    # ---- interior panels jmin..i-2, Gauss-Legendre, one target at a time
+    x, w = _gauss_legendre01(n_gl)
+    s = tau[:-1, None] + h[:, None] * x[None, :]                   # (N, K)
+    base = w[None, :] * h[:, None] * s ** (-sigma)
+    hats = np.stack([1.0 - x, x], axis=1)   # left/right hat functions (K, 2)
+    for r, i in zip(reg, i_reg):
+        if i - 1 > jmin:
+            kern = tau[i] - s[jmin:i - 1]                          # (i-1, K)
+            np.power(kern, mu - 1.0, out=kern)
+            kern *= base[jmin:i - 1]
+            c = kern @ hats
+            M[r, jmin:i - 1] += c[:, 0]
+            M[r, jmin + 1:i] += c[:, 1]
 
     # ---- first panel under u^(-sigma), targets beyond it
     if sigma > 0.0:
-        u, nu = gjl
-        s_off0 = h[0] * u
-        kern = (tau[i_arr][:, None] - s_off0[None, :]) ** (mu - 1.0)
+        u, nu = _gauss_jacobi_left(n_gj, sigma)
+        kern = (tau[i_reg][:, None] - h[0] * u[None, :]) ** (mu - 1.0)
         scale = h[0] ** (1.0 - sigma)
-        M[i_arr, 0] += scale * (kern @ (nu * (1.0 - u)))
-        M[i_arr, 1] += scale * (kern @ (nu * u))
+        M[reg, 0] += scale * (kern @ (nu * (1.0 - u)))
+        M[reg, 1] += scale * (kern @ (nu * u))
 
     # ---- target-adjacent panel under (1-v)^(mu-1)
-    v, om = gjr
-    hj = h[i_arr - 1]
-    s_off = tau[i_arr - 1][:, None] + hj[:, None] * v[None, :]
-    w8 = om[None, :] * np.ones_like(s_off)
-    if sigma > 0.0:
-        w8 = w8 * s_off ** (-sigma)
+    v, om = _gauss_jacobi_right(n_gj, mu)
+    hj = h[i_reg - 1]
+    w8 = om * (tau[i_reg - 1][:, None] + hj[:, None] * v[None, :]) ** (-sigma)
     scale = hj ** mu
-    M[i_arr, i_arr - 1] += scale * (w8 * (1.0 - v)[None, :]).sum(axis=1)
-    M[i_arr, i_arr] += scale * (w8 * v[None, :]).sum(axis=1)
-
-
-@lru_cache(maxsize=8)
-def _operator(grid: Grid, mu: float, sigma: float,
-              n_gl: int, n_gj: int) -> np.ndarray:
-    """Dense matrix taking stored w values of g to stored w values of I^mu g."""
-    tau = grid.offsets()
-    h = np.diff(tau)
-    n = grid.n_nodes
-    M = np.zeros((n, n))
-
-    gl = _gauss_legendre01(n_gl)
-    gjr = _gauss_jacobi_right(n_gj, mu)
-    gjl = _gauss_jacobi_left(n_gj, sigma) if sigma > 0.0 else None
-
-    first = 2 if sigma > 0.0 else 1
-    targets = np.arange(first, n)
-    if targets.size:
-        chunks = [targets[k:k + _CHUNK] for k in range(0, targets.size, _CHUNK)]
-        workers = worker_count()
-        if workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                list(ex.map(
-                    lambda ch: _assemble_rows(M, ch, tau, h, mu, sigma,
-                                              gl, gjl, gjr), chunks))
-        else:
-            for ch in chunks:
-                _assemble_rows(M, ch, tau, h, mu, sigma, gl, gjl, gjr)
+    M[reg, i_reg - 1] += scale * (w8 @ (1.0 - v))
+    M[reg, i_reg] += scale * (w8 @ v)
 
     if sigma > 0.0:
         # node-1 target: both singularities on one panel; linear interpolant
@@ -167,19 +122,34 @@ def _operator(grid: Grid, mu: float, sigma: float,
         hs = h[0] ** (mu - sigma)
         b1 = beta_fn(1.0 - sigma, mu)
         b2 = beta_fn(2.0 - sigma, mu)
-        M[1, 0] = hs * (b1 - b2)
-        M[1, 1] = hs * b2
+        M[targets == 1, :2] = hs * (b1 - b2), hs * b2
 
     # output weighting and the 1/Gamma(mu) front factor
-    sigma_out = max(sigma - mu, 0.0)
-    rho = np.empty(n)
-    rho[1:] = tau[1:] ** sigma_out / gamma(mu)
-    rho[0] = 0.0
-    M *= rho[:, None]
+    M *= (tau[targets] ** max(sigma - mu, 0.0) / gamma(mu))[:, None]
     if sigma >= mu:
-        M[0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
+        M[targets == 0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
     M.setflags(write=False)  # cached and shared by every later caller
     return M
+
+
+@lru_cache(maxsize=8)
+def _operator(grid: Grid, mu: float, sigma: float,
+              n_gl: int, n_gj: int) -> np.ndarray:
+    """Dense matrix taking stored w values of g to stored w values of I^mu g."""
+    return _rows(grid, mu, sigma, n_gl, n_gj, np.arange(grid.n_nodes))
+
+
+@lru_cache(maxsize=8)
+def _end_row(grid: Grid, mu: float, sigma: float,
+             n_gl: int, n_gj: int) -> np.ndarray:
+    """The last row of _operator, built alone."""
+    return _rows(grid, mu, sigma, n_gl, n_gj,
+                 np.array([grid.n_nodes - 1]))[0]
+
+
+def _check_order(mu: float) -> None:
+    if not 0.0 < mu <= 2.0:
+        raise OrderError(f"integral order must be in (0, 2], got {mu}")
 
 
 def rl_integral(mu: float, g: WeightedGridFunction, *,
@@ -189,11 +159,19 @@ def rl_integral(mu: float, g: WeightedGridFunction, *,
     Output carries sigma_out = max(g.sigma - mu, 0); its node-0 value is the
     analytic limit (zero once the integral has soaked up the singularity).
     """
-    if not 0.0 < mu <= 2.0:
-        raise OrderError(f"integral order must be in (0, 2], got {mu}")
+    _check_order(mu)
     M = _operator(g.grid, float(mu), float(g.sigma), n_gl, n_gj)
     sigma_out = max(g.sigma - mu, 0.0)
     return WeightedGridFunction(g.grid, sigma_out, M @ g.values)
+
+
+def rl_integral_end(mu: float, g: WeightedGridFunction, *,
+                    n_gl: int = 6, n_gj: int = 8) -> float:
+    """Stored value of I^mu g at t = b: rl_integral(mu, g).values[-1] from
+    one quadrature row instead of the whole matrix."""
+    _check_order(mu)
+    row = _end_row(g.grid, float(mu), float(g.sigma), n_gl, n_gj)
+    return float(row @ g.values)
 
 
 def power_rule(mu: float, p: float, t_minus_a: float) -> float:

@@ -182,12 +182,21 @@ def test_unknown_flag_and_no_args(capsys):
     capsys.readouterr()
 
 
-def test_bad_thread_env(example_file, capsys, monkeypatch):
-    monkeypatch.setenv("HILFER_THREADS", "many")
-    rc = cli.main(["check", example_file])
+def test_solve_one_panel_is_input_error(example_file, capsys):
+    rc = cli.main(["solve", example_file, "--nodes", "1"])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_INPUT
-    assert "HILFER_THREADS" in err
+    assert "at least 2 panels" in err
+
+
+def test_solve_divergence_factor_must_exceed_one(tmp_path, capsys):
+    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
+    raw["solver"]["divergence_factor"] = 0
+    path = _write_problem(tmp_path, raw)
+    rc = cli.main(["solve", path, "--nodes", "256"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INPUT
+    assert "divergence_factor must be > 1" in err
 
 
 def test_identities_battery_passes(capsys):

@@ -5,14 +5,19 @@ import pytest
 
 from hilferbvp.fracops import (
     OrderError,
+    _end_row,
+    _gauss_jacobi_left,
+    _gauss_jacobi_right,
+    _gauss_legendre01,
     _operator,
     hilfer_derivative,
     hilfer_gamma,
     power_rule,
     rl_integral,
-    worker_count,
+    rl_integral_end,
 )
 from hilferbvp.gridfn import Grid, WeightedGridFunction
+from hilferbvp.specfun import beta as beta_fn
 from hilferbvp.specfun import gamma
 
 from conftest import ORACLE
@@ -188,33 +193,6 @@ def test_hilfer_derivative_validates_orders():
         hilfer_derivative(0.5, 2.0, fn)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("HILFER_THREADS", raising=False)
-    auto = worker_count()
-    assert 1 <= auto <= 8
-    monkeypatch.setenv("HILFER_THREADS", "0")
-    assert worker_count() == auto
-    monkeypatch.setenv("HILFER_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("HILFER_THREADS", "abc")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("HILFER_THREADS", "-1")
-    with pytest.raises(ValueError):
-        worker_count()
-
-
-def test_assembly_independent_of_thread_count(monkeypatch):
-    """The operator matrix must be bit-identical for any worker count."""
-    g = Grid(0.0, 1.0, 200, 2.0)
-    build = _operator.__wrapped__
-    monkeypatch.setenv("HILFER_THREADS", "1")
-    m1 = build(g, 0.5, 1.0 / 3.0, 6, 8)
-    monkeypatch.setenv("HILFER_THREADS", "4")
-    m4 = build(g, 0.5, 1.0 / 3.0, 6, 8)
-    assert np.array_equal(m1, m4)
-
-
 def test_operator_cache_reuse():
     g = Grid(0.0, 1.0, 128, 2.0)
     fn = WeightedGridFunction(g, 1.0 / 3.0, np.ones(129))
@@ -232,3 +210,104 @@ def test_cached_operator_is_read_only():
         M[1, 1] = 0.0
     fn = WeightedGridFunction(g, 1.0 / 3.0, np.ones(65))
     assert np.array_equal(rl_integral(0.5, fn).values, M @ fn.values)
+    row = _end_row(g, 0.5, 1.0 / 3.0, 6, 8)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[-1] = 0.0
+    with pytest.raises(ValueError):
+        row.setflags(write=True)
+    assert rl_integral_end(0.5, fn) == float(row @ fn.values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_end_value_matches_last_row(n):
+    """rl_integral_end is the last entry of rl_integral, for sigma >= mu,
+    sigma < mu, and the node-1 closed form at N = 1."""
+    g = Grid(0.0, 1.0, n, 2.0)
+    rng = np.random.default_rng(n)
+    for sigma in (0.0, 1.0 / 3.0, 0.7):
+        fn = WeightedGridFunction(g, sigma, rng.normal(size=n + 1))
+        for mu in (0.1, 0.5, 1.0, 2.0):
+            ref = rl_integral(mu, fn).values[-1]
+            got = rl_integral_end(mu, fn)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+    with pytest.raises(OrderError):
+        rl_integral_end(0.0, fn)
+
+
+# Reference assembly: fills blocks of target rows at once from (C, J, K)
+# kernel tensors with a mask and an np.ix_ scatter, where fracops._rows
+# loops over target rows one at a time.
+
+def _ref_assemble_rows(M, rows, tau, h, mu, sigma, gl, gjl, gjr):
+    jmin = 1 if sigma > 0.0 else 0
+    x_gl, w_gl = gl
+    i_arr = np.asarray(rows)
+    jmax = int(i_arr.max()) - 2
+    if jmax >= jmin:
+        js = np.arange(jmin, jmax + 1)
+        s_off = tau[js][:, None] + h[js][:, None] * x_gl[None, :]
+        base = w_gl[None, :] * h[js][:, None]
+        if sigma > 0.0:
+            base = base * s_off ** (-sigma)
+        diff = tau[i_arr][:, None, None] - s_off[None, :, :]
+        mask = js[None, :] <= (i_arr[:, None] - 2)
+        kern = np.where(diff > 0.0, diff, 1.0) ** (mu - 1.0)
+        kern *= mask[:, :, None]
+        contrib = kern * base[None, :, :]
+        M[np.ix_(i_arr, js)] += contrib @ (1.0 - x_gl)
+        M[np.ix_(i_arr, js + 1)] += contrib @ x_gl
+    if sigma > 0.0:
+        u, nu = gjl
+        kern = (tau[i_arr][:, None] - h[0] * u[None, :]) ** (mu - 1.0)
+        scale = h[0] ** (1.0 - sigma)
+        M[i_arr, 0] += scale * (kern @ (nu * (1.0 - u)))
+        M[i_arr, 1] += scale * (kern @ (nu * u))
+    v, om = gjr
+    hj = h[i_arr - 1]
+    s_off = tau[i_arr - 1][:, None] + hj[:, None] * v[None, :]
+    w8 = om[None, :] * np.ones_like(s_off)
+    if sigma > 0.0:
+        w8 = w8 * s_off ** (-sigma)
+    scale = hj ** mu
+    M[i_arr, i_arr - 1] += scale * (w8 * (1.0 - v)[None, :]).sum(axis=1)
+    M[i_arr, i_arr] += scale * (w8 * v[None, :]).sum(axis=1)
+
+
+def _ref_operator(grid, mu, sigma, n_gl=6, n_gj=8, chunk=16):
+    tau = grid.offsets()
+    h = np.diff(tau)
+    n = grid.n_nodes
+    M = np.zeros((n, n))
+    gl = _gauss_legendre01(n_gl)
+    gjr = _gauss_jacobi_right(n_gj, mu)
+    gjl = _gauss_jacobi_left(n_gj, sigma) if sigma > 0.0 else None
+    targets = np.arange(2 if sigma > 0.0 else 1, n)
+    for k in range(0, targets.size, chunk):
+        _ref_assemble_rows(M, targets[k:k + chunk], tau, h, mu, sigma,
+                           gl, gjl, gjr)
+    if sigma > 0.0:
+        hs = h[0] ** (mu - sigma)
+        b1 = beta_fn(1.0 - sigma, mu)
+        b2 = beta_fn(2.0 - sigma, mu)
+        M[1, 0] = hs * (b1 - b2)
+        M[1, 1] = hs * b2
+    rho = np.empty(n)
+    rho[1:] = tau[1:] ** max(sigma - mu, 0.0) / gamma(mu)
+    rho[0] = 0.0
+    M *= rho[:, None]
+    if sigma >= mu:
+        M[0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
+    return M
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+def test_operator_matches_chunked_reference(q):
+    for n in (1, 2, 3, 7, 41):
+        g = Grid(0.0, 1.0, n, q)
+        for mu in (0.1, 0.5, 5.0 / 6.0, 1.0, 1.7, 2.0):
+            for sigma in (0.0, 1.0 / 3.0, 0.7):
+                want = _ref_operator(g, mu, sigma)
+                got = _operator.__wrapped__(g, mu, sigma, 6, 8)
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-13 * scale
