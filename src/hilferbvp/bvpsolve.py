@@ -16,6 +16,7 @@ composite Lipschitz constant of T is below one (see hypcheck).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,8 @@ from .specfun import gamma as gamma_fn
 
 __all__ = [
     "Bounds", "ProblemSpec", "SolveResult", "DegenerateBoundary",
-    "boundary_term", "apply_T", "boundary_functional", "solve_picard",
+    "boundary_term", "apply_T", "boundary_functional", "check_settings",
+    "solve_picard",
 ]
 
 
@@ -49,6 +51,11 @@ class Bounds:
     L: float | None = None
     eta: Expr | None = None
 
+    def __post_init__(self):
+        for key, v in (("N", self.N_bound), ("zeta", self.zeta), ("L", self.L)):
+            if v is not None and not 0.0 <= v < math.inf:
+                raise ValueError(f"bounds.{key}: must be finite and >= 0, got {v}")
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -65,7 +72,7 @@ class ProblemSpec:
     def __post_init__(self):
         hilfer_gamma(self.alpha, self.beta)  # validates orders
         if not self.b > self.a:
-            raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
+            raise ValueError(f"b must exceed a, got [{self.a}, {self.b}]")
         if self.d == 0.0:
             raise DegenerateBoundary("degenerate boundary: d = 0")
         if self.c + self.d == 0.0:
@@ -178,6 +185,19 @@ def boundary_functional(p: ProblemSpec, z: WeightedGridFunction) -> float:
     return left + p.d * right
 
 
+def check_settings(tol: float, max_iter: int, divergence_factor: float) -> None:
+    """Raise ValueError unless the Picard controls of solve_picard are usable:
+    0 < tol < inf, an integer max_iter >= 1, 1 < divergence_factor < inf."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+            or max_iter < 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if not 1.0 < divergence_factor < math.inf:
+        raise ValueError(
+            f"divergence_factor must be > 1 and finite, got {divergence_factor}")
+
+
 def solve_picard(p: ProblemSpec, grid: Grid, *, tol: float = 1e-10,
                  max_iter: int = 200,
                  divergence_factor: float = 1.5) -> SolveResult:
@@ -187,13 +207,7 @@ def solve_picard(p: ProblemSpec, grid: Grid, *, tol: float = 1e-10,
     step norm grows by >= divergence_factor three times in a row (diverged).
     Residuals are filled only for converged runs.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not divergence_factor > 1.0:
-        raise ValueError(
-            f"divergence_factor must be > 1, got {divergence_factor}")
+    check_settings(tol, max_iter, divergence_factor)
     z = boundary_term(p, grid)
     steps: list[float] = []
     converged = False

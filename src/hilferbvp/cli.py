@@ -5,9 +5,12 @@
     hilfer identities [--tol-scale X]
     hilfer example [--json]
 
-Exit codes: 0 success / a theorem applies; 1 input error; 2 no theorem
-applies; 3 solver failed to converge or f failed to evaluate; 4 an
-operator identity failed.
+Exit codes: 0 success / a theorem applies; 1 input error (any ValueError);
+2 no theorem applies; 3 solver failed to converge, f failed to evaluate or
+a constant overflowed (any ArithmeticError); 4 an operator identity failed.
+
+Range rules live with the code that uses each value (ProblemSpec, Bounds,
+Grid, bvpsolve.check_settings); problem_from_dict checks only JSON types.
 
 Output is deterministic for identical inputs; the only non-reproducible
 lines are timing notes prefixed with '#'.
@@ -23,10 +26,9 @@ import time
 import numpy as np
 
 from . import exprlang
-from .bvpsolve import (Bounds, DegenerateBoundary, ProblemSpec,
-                       solve_picard)
-from .fracops import OrderError, hilfer_derivative, power_rule, rl_integral
-from .gridfn import Grid, GridError, WeightedGridFunction, write_csv
+from .bvpsolve import Bounds, ProblemSpec, check_settings, solve_picard
+from .fracops import hilfer_derivative, power_rule, rl_integral
+from .gridfn import Grid, WeightedGridFunction, write_csv
 from .hypcheck import applicability_report
 from .specfun import gamma
 
@@ -120,19 +122,8 @@ def problem_from_dict(raw: dict) -> tuple[ProblemSpec, dict]:
         if key not in known:
             raise CLIInputError(f"unknown field {key!r}")
 
-    alpha = _need_number(raw, "alpha")
-    beta = _need_number(raw, "beta")
-    if not 0.0 < alpha < 1.0:
-        raise CLIInputError(f"alpha: must be in (0, 1), got {alpha}")
-    if not 0.0 <= beta <= 1.0:
-        raise CLIInputError(f"beta: must be in [0, 1], got {beta}")
-    a = _need_number(raw, "a")
-    b = _need_number(raw, "b")
-    if not b > a:
-        raise CLIInputError(f"b: must exceed a, got [{a}, {b}]")
-    c = _need_number(raw, "c")
-    d = _need_number(raw, "d")
-    e = _need_number(raw, "e")
+    coeffs = {key: _need_number(raw, key)
+              for key in ("alpha", "beta", "a", "b", "c", "d", "e")}
     f = _parse_expr_field(raw.get("f"), "f")
 
     bounds = None
@@ -146,10 +137,6 @@ def problem_from_dict(raw: dict) -> tuple[ProblemSpec, dict]:
         eta = None
         if bd.get("eta") is not None:
             eta = _parse_expr_field(bd["eta"], "bounds.eta")
-        for key in ("N", "zeta", "L"):
-            v = _opt_number(bd, key, "bounds.")
-            if v is not None and v < 0.0:
-                raise CLIInputError(f"bounds.{key}: must be >= 0, got {v}")
         bounds = Bounds(N_bound=_opt_number(bd, "N", "bounds."),
                         zeta=_opt_number(bd, "zeta", "bounds."),
                         L=_opt_number(bd, "L", "bounds."),
@@ -164,37 +151,21 @@ def problem_from_dict(raw: dict) -> tuple[ProblemSpec, dict]:
         for key in sv:
             if key not in solver:
                 raise CLIInputError(f"solver.{key}: unknown field")
-        for key in ("nodes", "max_iter"):
-            if key in sv:
-                v = _need_number(sv, key, "solver.")
-                if v != int(v) or int(v) < 1:
-                    raise CLIInputError(
-                        f"solver.{key}: must be a positive integer, got {v}")
-                solver[key] = int(v)
-        for key in ("grading", "tol", "divergence_factor"):
-            if key in sv:
-                solver[key] = _need_number(sv, key, "solver.")
-        if solver["grading"] < 1.0:
-            raise CLIInputError(
-                f"solver.grading: must be >= 1, got {solver['grading']}")
-        if solver["tol"] <= 0.0:
-            raise CLIInputError(f"solver.tol: must be positive, got {solver['tol']}")
-
-    try:
-        spec = ProblemSpec(alpha=alpha, beta=beta, a=a, b=b, c=c, d=d, e=e,
-                           f=f, bounds=bounds)
-    except (DegenerateBoundary, OrderError, ValueError) as exc:
-        raise CLIInputError(str(exc)) from exc
-    return spec, solver
+            v = _need_number(sv, key, "solver.")
+            if key in ("nodes", "max_iter"):
+                if v != int(v):
+                    raise CLIInputError(f"solver.{key}: must be an integer, got {v}")
+                v = int(v)
+            solver[key] = v
+    # every subcommand rejects a bad solver section, not only `solve`
+    check_settings(solver["tol"], solver["max_iter"], solver["divergence_factor"])
+    return ProblemSpec(f=f, bounds=bounds, **coeffs), solver
 
 
 def _make_grid(p: ProblemSpec, solver: dict, args) -> Grid:
     nodes = args.nodes if args.nodes is not None else solver["nodes"]
     grading = args.grading if args.grading is not None else solver["grading"]
-    try:
-        return Grid(p.a, p.b, int(nodes), float(grading))
-    except GridError as exc:
-        raise CLIInputError(str(exc)) from exc
+    return Grid(p.a, p.b, int(nodes), float(grading))
 
 
 # ------------------------------------------------------------------- check
@@ -243,14 +214,9 @@ def cmd_solve(args) -> int:
     grid = _make_grid(p, solver, args)
     tol = args.tol if args.tol is not None else solver["tol"]
     max_iter = args.max_iter if args.max_iter is not None else solver["max_iter"]
-    dfac = solver["divergence_factor"]
-    if tol <= 0.0:
-        raise CLIInputError(f"tol: must be positive, got {tol}")
-    if max_iter < 1:
-        raise CLIInputError(f"max-iter: must be >= 1, got {max_iter}")
     t0 = time.perf_counter()
     res = solve_picard(p, grid, tol=tol, max_iter=max_iter,
-                       divergence_factor=dfac)
+                       divergence_factor=solver["divergence_factor"])
     elapsed = time.perf_counter() - t0
     if args.out:
         write_csv(res.solution, args.out)
@@ -321,8 +287,9 @@ def run_identity_battery(tol_scale: float = 1.0) -> list[tuple[str, float, float
 
 
 def cmd_identities(args) -> int:
-    if args.tol_scale <= 0.0:
-        raise CLIInputError(f"tol-scale: must be positive, got {args.tol_scale}")
+    if not 0.0 < args.tol_scale < math.inf:
+        raise CLIInputError(
+            f"tol-scale: must be positive and finite, got {args.tol_scale}")
     rows = run_identity_battery(args.tol_scale)
     failures = 0
     for name, measured, tol in rows:
@@ -410,16 +377,12 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except CLIInputError as exc:
+    except ValueError as exc:  # every input-error type subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except exprlang.EvalError as exc:
+    except ArithmeticError as exc:  # EvalError and float overflow
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (exprlang.ParseError, DegenerateBoundary, GridError, OrderError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

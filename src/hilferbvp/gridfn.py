@@ -45,9 +45,12 @@ class Grid:
     def __post_init__(self):
         if not (self.b > self.a):
             raise GridError(f"need b > a, got [{self.a}, {self.b}]")
+        if not np.isfinite(float(self.b) - float(self.a)):
+            raise GridError(
+                f"interval length b - a overflows, got [{self.a}, {self.b}]")
         if self.n_panels < 1:
             raise GridError(f"need at least one panel, got {self.n_panels}")
-        if self.grading < 1.0:
+        if not self.grading >= 1.0:
             raise GridError(f"grading must be >= 1, got {self.grading}")
         i = np.arange(self.n_panels + 1, dtype=float)
         nodes = self.a + (self.b - self.a) * (i / self.n_panels) ** self.grading

@@ -190,6 +190,12 @@ def test_solve_picard_validation(p_ex, grid512):
         solve_picard(p_ex, grid512, tol=0.0)
     with pytest.raises(ValueError):
         solve_picard(p_ex, grid512, max_iter=0)
+    # nan slips past a `tol <= 0` test; inf would converge after one step
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            solve_picard(p_ex, grid512, tol=tol)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_picard(p_ex, grid512, max_iter=True)
 
 
 @pytest.mark.parametrize("factor", [0.0, 1.0, -2.0, math.nan])
@@ -219,3 +225,13 @@ def test_bounds_defaults():
     b = Bounds()
     assert b.N_bound is None and b.zeta is None and b.L is None
     assert b.eta is None
+
+
+def test_bounds_validation():
+    with pytest.raises(ValueError, match="bounds.L"):
+        Bounds(L=-1.0)
+    with pytest.raises(ValueError, match="bounds.N"):
+        Bounds(N_bound=math.inf)
+    with pytest.raises(ValueError, match="bounds.zeta"):
+        Bounds(zeta=math.nan)
+    assert Bounds(N_bound=0.0, zeta=0.0, L=0.0).L == 0.0

@@ -129,15 +129,40 @@ def test_solve_tol_and_max_iter_overrides(example_file, capsys):
     (lambda raw: raw.update(extra=1.0), "unknown field"),
     (lambda raw: raw.update(b=-1.0), "must exceed"),
     (lambda raw: raw.update(f="1e999 * z"), "a finite number"),
+    (lambda raw: raw.update(bounds={"L": -1.0}), "bounds.L"),
+    (lambda raw: raw["solver"].update(divergence_factor=0), "divergence_factor"),
+    (lambda raw: raw.update(a=-1e308, b=1e308), "b - a overflows"),
 ])
 def test_bad_problem_files(tmp_path, capsys, mangle, fragment):
     raw = _no_bounds_problem()
     mangle(raw)
     path = _write_problem(tmp_path, raw)
-    rc = cli.main(["solve", path])
-    err = capsys.readouterr().err
+    # a bad file is rejected by every subcommand that reads one
+    for command in ("solve", "check"):
+        rc = cli.main([command, path])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_INPUT
+        assert fragment in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_tol_rejected(example_file, capsys, value):
+    rc = cli.main(["solve", example_file, "--nodes", "64", "--tol", value])
+    captured = capsys.readouterr()
     assert rc == cli.EXIT_INPUT
-    assert fragment in err
+    assert "tol must be positive and finite" in captured.err
+    assert "iterations" not in captured.out
+
+
+def test_check_overflowing_constant_exit(tmp_path, capsys):
+    # b - a = 1e300 overflows ba ** (...) in the Omega constant
+    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
+    raw["b"] = 1e300
+    path = _write_problem(tmp_path, raw)
+    rc = cli.main(["check", path, "--nodes", "64"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert "evaluation failed:" in err
 
 
 @pytest.mark.parametrize("flag", ["--nodes", "--grading"])
@@ -219,9 +244,12 @@ def test_identities_failure_exit(capsys, monkeypatch):
 
 
 def test_identities_tol_scale_validation(capsys):
-    rc = cli.main(["identities", "--tol-scale", "0"])
-    assert rc == cli.EXIT_INPUT
-    capsys.readouterr()
+    # nan would fail every identity and inf would pass every one
+    for value in ("0", "nan", "inf"):
+        rc = cli.main(["identities", "--tol-scale", value])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_INPUT, value
+        assert "tol-scale" in captured.err and captured.out == ""
 
 
 def test_example_command(capsys):

@@ -66,6 +66,14 @@ def test_grid_validation():
         Grid(0.0, 1.0, 8, -1.0)
 
 
+def test_grid_rejects_overflowing_length():
+    # b - a = inf turns every node into inf or nan
+    with pytest.raises(GridError, match="overflows"):
+        Grid(-1e308, 1e308, 8, 2.0)
+    with pytest.raises(GridError, match="overflows"):
+        Grid(0.0, np.inf, 8, 2.0)
+
+
 def test_grid_equality_and_hash():
     g1 = Grid(0.0, 1.0, 8, 2.0)
     g2 = Grid(0.0, 1.0, 8, 2.0)
