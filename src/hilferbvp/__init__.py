@@ -19,8 +19,8 @@ from .bvpsolve import (Bounds, DegenerateBoundary, ProblemSpec, SolveResult,
 from .exprlang import EvalError, Expr, ParseError, UnknownIdentifier, parse
 from .fracops import (OrderError, hilfer_derivative, hilfer_gamma, power_rule,
                       rl_integral)
-from .gridfn import (Grid, GridError, SingularNode, WeightedGridFunction,
-                     unweighted_value, weighted_norm, write_csv)
+from .gridfn import (Grid, GridError, WeightedGridFunction, weighted_norm,
+                     write_csv)
 from .hypcheck import (HypothesisReport, applicability_report, compute_G,
                        compute_Lambda, compute_Omega, compute_W,
                        compute_contraction, compute_ell, estimate_growth,
@@ -35,8 +35,7 @@ __all__ = [
     "EvalError", "Expr", "ParseError", "UnknownIdentifier", "parse",
     "OrderError", "hilfer_derivative", "hilfer_gamma", "power_rule",
     "rl_integral",
-    "Grid", "GridError", "SingularNode", "WeightedGridFunction",
-    "unweighted_value", "weighted_norm", "write_csv",
+    "Grid", "GridError", "WeightedGridFunction", "weighted_norm", "write_csv",
     "HypothesisReport", "applicability_report", "compute_G",
     "compute_Lambda", "compute_Omega", "compute_W", "compute_contraction",
     "compute_ell", "estimate_growth", "estimate_lipschitz",

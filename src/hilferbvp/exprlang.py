@@ -106,6 +106,7 @@ _TOKEN_NUM = "num"
 _TOKEN_NAME = "name"
 _TOKEN_OP = "op"
 _TOKEN_END = "end"
+_DIGITS = "0123456789"  # str.isdigit would also accept "²" and "١"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -124,21 +125,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             toks.append((_TOKEN_OP, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             toks.append((_TOKEN_NUM, text[i:j], i))
             i = j

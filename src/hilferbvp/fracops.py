@@ -21,7 +21,7 @@ node-0 value is the analytic limit w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) when
 sigma >= mu, else 0.
 
 hilfer_derivative composes integral - derivative - integral,
-I^(beta(1-alpha)) D I^((1-beta)(1-alpha)), with three-point finite
+I^(beta(1-alpha)) D I^((1-beta)(1-alpha)), with second-order np.gradient
 differences on the native non-uniform mesh for the middle step.  It is a
 verification tool: the solver itself never differentiates.
 """
@@ -40,6 +40,10 @@ __all__ = [
     "OrderError", "rl_integral", "rl_integral_end", "power_rule",
     "hilfer_derivative", "hilfer_gamma",
 ]
+
+
+N_GL = 6  # Gauss-Legendre points per interior panel
+N_GJ = 8  # Gauss-Jacobi points on the singular panels
 
 
 class OrderError(ValueError):
@@ -72,7 +76,7 @@ def _gauss_jacobi_left(n: int, sigma: float):
     return (x + 1.0) / 2.0, kap * 2.0 ** (sigma - 1.0)
 
 
-def _rows(grid: Grid, mu: float, sigma: float, n_gl: int, n_gj: int,
+def _rows(grid: Grid, mu: float, sigma: float,
           targets: np.ndarray) -> np.ndarray:
     """Operator rows for the node indices `targets`: row r takes
     stored w values of g to the stored w value of I^mu g at node targets[r].
@@ -87,7 +91,7 @@ def _rows(grid: Grid, mu: float, sigma: float, n_gl: int, n_gj: int,
     i_reg = targets[reg]
 
     # ---- interior panels jmin..i-2, Gauss-Legendre, one target at a time
-    x, w = _gauss_legendre01(n_gl)
+    x, w = _gauss_legendre01(N_GL)
     s = tau[:-1, None] + h[:, None] * x[None, :]                   # (N, K)
     base = w[None, :] * h[:, None] * s ** (-sigma)
     hats = np.stack([1.0 - x, x], axis=1)   # left/right hat functions (K, 2)
@@ -102,14 +106,14 @@ def _rows(grid: Grid, mu: float, sigma: float, n_gl: int, n_gj: int,
 
     # ---- first panel under u^(-sigma), targets beyond it
     if sigma > 0.0:
-        u, nu = _gauss_jacobi_left(n_gj, sigma)
+        u, nu = _gauss_jacobi_left(N_GJ, sigma)
         kern = (tau[i_reg][:, None] - h[0] * u[None, :]) ** (mu - 1.0)
         scale = h[0] ** (1.0 - sigma)
         M[reg, 0] += scale * (kern @ (nu * (1.0 - u)))
         M[reg, 1] += scale * (kern @ (nu * u))
 
     # ---- target-adjacent panel under (1-v)^(mu-1)
-    v, om = _gauss_jacobi_right(n_gj, mu)
+    v, om = _gauss_jacobi_right(N_GJ, mu)
     hj = h[i_reg - 1]
     w8 = om * (tau[i_reg - 1][:, None] + hj[:, None] * v[None, :]) ** (-sigma)
     scale = hj ** mu
@@ -133,18 +137,15 @@ def _rows(grid: Grid, mu: float, sigma: float, n_gl: int, n_gj: int,
 
 
 @lru_cache(maxsize=8)
-def _operator(grid: Grid, mu: float, sigma: float,
-              n_gl: int, n_gj: int) -> np.ndarray:
+def _operator(grid: Grid, mu: float, sigma: float) -> np.ndarray:
     """Dense matrix taking stored w values of g to stored w values of I^mu g."""
-    return _rows(grid, mu, sigma, n_gl, n_gj, np.arange(grid.n_nodes))
+    return _rows(grid, mu, sigma, np.arange(grid.n_nodes))
 
 
 @lru_cache(maxsize=8)
-def _end_row(grid: Grid, mu: float, sigma: float,
-             n_gl: int, n_gj: int) -> np.ndarray:
+def _end_row(grid: Grid, mu: float, sigma: float) -> np.ndarray:
     """The last row of _operator, built alone."""
-    return _rows(grid, mu, sigma, n_gl, n_gj,
-                 np.array([grid.n_nodes - 1]))[0]
+    return _rows(grid, mu, sigma, np.array([grid.n_nodes - 1]))[0]
 
 
 def _check_order(mu: float) -> None:
@@ -152,25 +153,23 @@ def _check_order(mu: float) -> None:
         raise OrderError(f"integral order must be in (0, 2], got {mu}")
 
 
-def rl_integral(mu: float, g: WeightedGridFunction, *,
-                n_gl: int = 6, n_gj: int = 8) -> WeightedGridFunction:
+def rl_integral(mu: float, g: WeightedGridFunction) -> WeightedGridFunction:
     """Riemann-Liouville integral I^mu g on g's grid.
 
     Output carries sigma_out = max(g.sigma - mu, 0); its node-0 value is the
     analytic limit (zero once the integral has soaked up the singularity).
     """
     _check_order(mu)
-    M = _operator(g.grid, float(mu), float(g.sigma), n_gl, n_gj)
+    M = _operator(g.grid, float(mu), float(g.sigma))
     sigma_out = max(g.sigma - mu, 0.0)
     return WeightedGridFunction(g.grid, sigma_out, M @ g.values)
 
 
-def rl_integral_end(mu: float, g: WeightedGridFunction, *,
-                    n_gl: int = 6, n_gj: int = 8) -> float:
+def rl_integral_end(mu: float, g: WeightedGridFunction) -> float:
     """Stored value of I^mu g at t = b: rl_integral(mu, g).values[-1] from
     one quadrature row instead of the whole matrix."""
     _check_order(mu)
-    row = _end_row(g.grid, float(mu), float(g.sigma), n_gl, n_gj)
+    row = _end_row(g.grid, float(mu), float(g.sigma))
     return float(row @ g.values)
 
 
@@ -183,29 +182,6 @@ def power_rule(mu: float, p: float, t_minus_a: float) -> float:
     if t_minus_a < 0.0:
         raise ValueError(f"t must not precede a, got t - a = {t_minus_a}")
     return gamma(p) / gamma(p + mu) * t_minus_a ** (p + mu - 1.0)
-
-
-def _diff_nonuniform(tau: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Three-point derivative of samples u at abscissae tau (one-sided at the
-    ends, central in between).  Needs len >= 3."""
-    n = len(tau)
-    if n < 3:
-        raise ValueError("need at least three samples to differentiate")
-    d = np.empty(n)
-    h = np.diff(tau)
-    hl, hr = h[:-1], h[1:]
-    d[1:-1] = (-hr / (hl * (hl + hr)) * u[:-2]
-               + (hr - hl) / (hl * hr) * u[1:-1]
-               + hl / (hr * (hl + hr)) * u[2:])
-    h1, h2 = h[0], h[1]
-    d[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)) * u[0]
-            + (h1 + h2) / (h1 * h2) * u[1]
-            - h1 / (h2 * (h1 + h2)) * u[2])
-    g1, g2 = h[-2], h[-1]
-    d[-1] = (g2 / (g1 * (g1 + g2)) * u[-3]
-             - (g1 + g2) / (g1 * g2) * u[-2]
-             + (2 * g2 + g1) / (g2 * (g1 + g2)) * u[-1])
-    return d
 
 
 def hilfer_derivative(alpha: float, beta: float,
@@ -225,9 +201,11 @@ def hilfer_derivative(alpha: float, beta: float,
     tau = g.grid.offsets()
 
     if u.sigma == 0.0:
-        v_vals = _diff_nonuniform(tau, u.values)
+        v_vals = np.gradient(u.values, tau, edge_order=2)
+    elif g.grid.n_panels < 2:  # np.gradient raises IndexError on one sample
+        raise ValueError("need at least three samples to differentiate")
     else:
-        inner = _diff_nonuniform(tau[1:], u.unweighted())
+        inner = np.gradient(u.unweighted(), tau[1:], edge_order=2)
         v_vals = np.empty(g.grid.n_nodes)
         v_vals[1:] = inner
         # linear extrapolation to tau = 0 for the panel-0 contribution

@@ -12,24 +12,18 @@ buys algebraic singularities back their convergence order.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
 __all__ = [
-    "Grid", "WeightedGridFunction", "GridError", "SingularNode",
-    "weighted_norm", "unweighted_value", "write_csv",
+    "Grid", "WeightedGridFunction", "GridError", "weighted_norm", "write_csv",
 ]
 
 
 class GridError(ValueError):
     """Invalid mesh parameters (or a mesh that collapses in float arithmetic)."""
-
-
-class SingularNode(ValueError):
-    """Unweighted value requested at t = a where z is unbounded."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,26 +96,6 @@ class WeightedGridFunction:
             v.setflags(write=False)
             object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_weighted(cls, grid: Grid, sigma: float,
-                      w: Callable[[float], float]) -> "WeightedGridFunction":
-        """Sample a function of tau = t - a already in weighted form
-        (w(0) must be the finite limit)."""
-        tau = grid.offsets()
-        return cls(grid, sigma, np.array([w(x) for x in tau]))
-
-    @classmethod
-    def from_unweighted(cls, grid: Grid, sigma: float,
-                        z: Callable[[float], float],
-                        limit0: float = 0.0) -> "WeightedGridFunction":
-        """Sample z(t) at nodes i >= 1 and attach the weighted limit at a."""
-        tau = grid.offsets()
-        vals = np.empty(grid.n_nodes)
-        vals[0] = limit0
-        for i in range(1, grid.n_nodes):
-            vals[i] = tau[i] ** sigma * z(grid.nodes[i]) if sigma else z(grid.nodes[i])
-        return cls(grid, sigma, vals)
-
     def unweighted(self) -> np.ndarray:
         """z(t_i) for i >= 1 (index 0 of the result is node 1)."""
         tau = self.grid.offsets()[1:]
@@ -135,42 +109,20 @@ def weighted_norm(g: WeightedGridFunction) -> float:
     return float(np.abs(g.values).max())
 
 
-def unweighted_value(g: WeightedGridFunction, i: int) -> float:
-    """z(t_i).  Raises SingularNode at i = 0 when sigma > 0."""
-    n = g.grid.n_nodes
-    if not -n <= i < n:
-        raise IndexError(f"node index {i} out of range for {n} nodes")
-    i %= n
-    if g.sigma == 0.0:
-        return float(g.values[i])
-    if i == 0:
-        raise SingularNode("z is unbounded at t = a (sigma > 0)")
-    tau = g.grid.nodes[i] - g.grid.a
-    return float(g.values[i] * tau ** (-g.sigma))
-
-
 def write_csv(g: WeightedGridFunction, out: TextIO | str) -> None:
     """Write nodes as CSV rows t,w,z.
 
-    The z column is empty at t_0 when sigma > 0 (the sample is unbounded
-    there); floats are rendered with repr so rereading loses nothing.
+    The z column is g.unweighted() from t_1 on; at t_0 it is w_0 when
+    sigma = 0 and empty when sigma > 0 (the sample is unbounded there).
+    Floats are rendered with repr so rereading loses nothing.
     """
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8") as fh:
             write_csv(g, fh)
         return
     out.write("t,w,z\n")
-    tau = g.grid.offsets()
-    for i, t in enumerate(g.grid.nodes):
-        w = float(g.values[i])
-        if g.sigma > 0.0:
-            z = "" if i == 0 else repr(w * float(tau[i]) ** (-g.sigma))
-        else:
-            z = repr(w)
-        out.write(f"{float(t)!r},{w!r},{z}\n")
+    z = ["" if g.sigma > 0.0 else repr(float(g.values[0]))]
+    z += map(repr, g.unweighted().tolist())
+    for t, w, zc in zip(g.grid.nodes.tolist(), g.values.tolist(), z):
+        out.write(f"{t!r},{w!r},{zc}\n")
 
-
-def csv_text(g: WeightedGridFunction) -> str:
-    buf = io.StringIO()
-    write_csv(g, buf)
-    return buf.getvalue()

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import exprlang
-from .bvpsolve import ProblemSpec
+from .bvpsolve import Bounds, ProblemSpec
 from .exprlang import Expr
 from .gridfn import Grid
 from .specfun import PoleError, beta as beta_fn, gamma
@@ -88,13 +88,11 @@ def compute_contraction(p: ProblemSpec, lips: float) -> float:
     return abs(p.resolvent) * (p.b - p.a) ** p.alpha * lips / gamma(p.alpha + 1.0)
 
 
-def compute_Lambda(p: ProblemSpec, lips: float, f0_norm: float) -> float:
+def compute_Lambda(p: ProblemSpec, f0_norm: float) -> float:
     """Radius offset for the Krasnoselskii ball, epsilon = Lambda/(1 - W).
 
-    lips is accepted for signature symmetry with compute_W but the bound
-    itself has no L term (the fixed part of f carries the mass).
+    The bound has no L term: the fixed part of f carries the mass.
     """
-    del lips
     return _w_bracket(p) * f0_norm + p.boundary_const
 
 
@@ -113,39 +111,38 @@ def compute_ell(p: ProblemSpec, eta_norm: float) -> float:
 
 # --------------------------------------------------------------- estimation
 
-def _t_samples(p: ProblemSpec, grid: Grid | None, cap: int = 129) -> np.ndarray:
-    """Sample points in (a, b]: grid nodes without a, thinned to cap."""
+T_SAMPLES = 129  # most t-nodes any estimator samples
+Z_RANGE = 10.0   # the Lipschitz estimate samples z in [-Z_RANGE, Z_RANGE]
+Z_SAMPLES = 129
+
+
+def _t_samples(p: ProblemSpec, grid: Grid | None) -> np.ndarray:
+    """Sample points in (a, b]: grid nodes without a, thinned to T_SAMPLES."""
     if grid is None:
         grid = Grid(p.a, p.b, 128, 2.0)
     ts = grid.nodes[1:]
-    if ts.size > cap:
-        idx = np.unique(np.linspace(0, ts.size - 1, cap).astype(int))
+    if ts.size > T_SAMPLES:
+        idx = np.unique(np.linspace(0, ts.size - 1, T_SAMPLES).astype(int))
         ts = ts[idx]
     return ts
 
 
-def weighted_sup(expr: Expr, p: ProblemSpec, grid: Grid | None = None,
-                 z_value: float = 0.0) -> float:
-    """max over sample nodes of (t-a)^(1-gamma) |expr(t, z_value)|."""
+def weighted_sup(expr: Expr, p: ProblemSpec, grid: Grid | None = None) -> float:
+    """max over sample nodes of (t-a)^(1-gamma) |expr(t, 0)|."""
     ts = _t_samples(p, grid)
-    v = np.abs(exprlang.evaluate(expr, ts, z_value))
+    v = np.abs(exprlang.evaluate(expr, ts, 0.0))
     return float(((ts - p.a) ** p.sigma * v).max())
 
 
-def estimate_lipschitz(f: Expr, p: ProblemSpec, z_range: float,
-                       samples: int, grid: Grid | None = None) -> float:
-    """Sampled Lipschitz constant of f in z over [-z_range, z_range].
+def estimate_lipschitz(f: Expr, p: ProblemSpec, grid: Grid | None = None) -> float:
+    """Sampled Lipschitz constant of f in z over [-Z_RANGE, Z_RANGE].
 
     Slopes are taken between consecutive z samples and between tight
     centered pairs, so the estimate approaches the true constant from below.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if z_range <= 0.0:
-        raise ValueError(f"z_range must be positive, got {z_range}")
     ts = _t_samples(p, grid)
-    zs = np.linspace(-z_range, z_range, samples)
-    tight = z_range * 1e-3
+    zs = np.linspace(-Z_RANGE, Z_RANGE, Z_SAMPLES)
+    tight = Z_RANGE * 1e-3
     # pair endpoints: consecutive samples, then every fourth plus `tight`
     z1 = np.concatenate([zs[:-1], zs[:-1:4]])
     z2 = np.concatenate([zs[1:], zs[:-1:4] + tight])
@@ -206,17 +203,16 @@ class HypothesisReport:
 
 
 def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
-                         trust_estimates: bool = False,
-                         z_range: float = 10.0,
-                         samples: int = 129) -> HypothesisReport:
+                         trust_estimates: bool = False) -> HypothesisReport:
     """Compute every hypothesis constant and decide which theorems certify.
 
     A flag is set only when its inequality holds AND the constants feeding
     it are certified: supplied by the user, or estimated with
     trust_estimates = True.  Sampled sup norms of user-supplied expressions
-    (f at z = 0, eta) count as certified.
+    (f at z = 0, eta) count as certified.  A constant whose formula
+    overflows raises an OverflowError that names it and [a, b].
     """
-    bounds = p.bounds
+    bounds = p.bounds or Bounds()
     inputs: dict[str, str] = {}
     resolved: dict[str, float | None] = {}
     reasons: dict[str, str] = {}
@@ -239,12 +235,9 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
             nz = estimate_growth(p.f, p, grid)
         return nz
 
-    n_bound, n_ok = pick("N_bound", bounds.N_bound if bounds else None,
-                         lambda: growth()[0])
-    zeta, z_ok = pick("zeta", bounds.zeta if bounds else None,
-                      lambda: growth()[1])
-    lips, l_ok = pick("L", bounds.L if bounds else None,
-                      lambda: estimate_lipschitz(p.f, p, z_range, samples, grid))
+    n_bound, n_ok = pick("N_bound", bounds.N_bound, lambda: growth()[0])
+    zeta, z_ok = pick("zeta", bounds.zeta, lambda: growth()[1])
+    lips, l_ok = pick("L", bounds.L, lambda: estimate_lipschitz(p.f, p, grid))
     if inputs["N_bound"] == "estimated" or inputs["zeta"] == "estimated":
         if not trust_estimates:
             reasons["growth"] = ("N/zeta are sampled estimates; pass "
@@ -253,12 +246,19 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
         reasons["lipschitz"] = ("L is a sampled estimate; pass "
                                 "trust_estimates to certify it")
 
-    f0_norm = weighted_sup(p.f, p, grid, z_value=0.0)
+    f0_norm = weighted_sup(p.f, p, grid)
     resolved["f0_norm"] = f0_norm
 
+    def const(name, formula, *args):
+        try:
+            return formula(p, *args)
+        except OverflowError as exc:
+            raise OverflowError(
+                f"constant {name} overflows on [a, b] = [{p.a}, {p.b}]") from exc
+
     # Schauder route
-    G = compute_G(p, n_bound, zeta)
-    Omega = compute_Omega(p, n_bound)
+    G = const("G", compute_G, n_bound, zeta)
+    Omega = const("Omega", compute_Omega, n_bound)
     r = None
     if G < 1.0:
         r = Omega / (1.0 - G)
@@ -274,9 +274,9 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
     W = K_con = Lambda = epsilon = None
     kras = False
     try:
-        W = compute_W(p, lips)
-        K_con = compute_contraction(p, lips)
-        Lambda = compute_Lambda(p, lips, f0_norm)
+        W = const("W", compute_W, lips)
+        K_con = const("K_con", compute_contraction, lips)
+        Lambda = const("Lambda", compute_Lambda, f0_norm)
         if W < 1.0:
             epsilon = Lambda / (1.0 - W)
         ineq = W < 1.0 and K_con < 1.0
@@ -292,17 +292,17 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
     ell = None
     eta_norm = None
     schaefer = False
-    if bounds is not None and bounds.eta is not None:
+    if bounds.eta is not None:
         inputs["eta"] = "user"
         eta_norm = weighted_sup(bounds.eta, p, grid)
-        ell = compute_ell(p, eta_norm)
+        ell = const("ell", compute_ell, eta_norm)
         schaefer = True
         reasons.setdefault("ell", "literal-form bound")
     elif f0_norm >= 0.0 and lips == 0.0 and l_ok:
         # z-independent f dominates itself
         inputs["eta"] = "fallback-f0"
         eta_norm = f0_norm
-        ell = compute_ell(p, eta_norm)
+        ell = const("ell", compute_ell, eta_norm)
         schaefer = True
         reasons.setdefault("ell", "literal-form bound; eta taken as |f(., 0)|")
     else:

@@ -163,6 +163,8 @@ def test_check_overflowing_constant_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_NO_CONVERGENCE
     assert "evaluation failed:" in err
+    assert "Omega" in err
+    assert "[0.0, 1e+300]" in err
 
 
 @pytest.mark.parametrize("flag", ["--nodes", "--grading"])

@@ -110,6 +110,9 @@ MALFORMED = [
     "foo(2)",
     "2 + bar",
     "1e999",
+    "2²*t",
+    "²",
+    "١٢*t",
 ]
 
 
@@ -142,6 +145,9 @@ def test_parse_error_offsets():
         parse("t + 1e999")
     assert exc.value.offset == 4
     assert exc.value.expected == "a finite number"
+    with pytest.raises(ParseError) as exc:
+        parse("2²*t")
+    assert exc.value.offset == 1
 
 
 def test_parse_error_fields():

@@ -193,6 +193,25 @@ def test_hilfer_derivative_validates_orders():
         hilfer_derivative(0.5, 2.0, fn)
 
 
+GRADIENT_TOO_SMALL = r"at least \(edge_order \+ 1\) elements"
+
+
+@pytest.mark.parametrize("n, sigma, beta, message", [
+    (1, 0.0, 0.0, GRADIENT_TOO_SMALL),
+    (1, 0.0, 1.0, GRADIENT_TOO_SMALL),
+    (1, 0.4, 0.0, GRADIENT_TOO_SMALL),   # I^0.5 leaves sigma = 0
+    (1, 0.4, 1.0, "three samples"),      # one sample: np.gradient IndexErrors
+    (2, 0.4, 0.5, GRADIENT_TOO_SMALL),   # two samples once node 0 is dropped
+    (2, 0.4, 1.0, GRADIENT_TOO_SMALL),
+])
+def test_hilfer_derivative_too_few_nodes(n, sigma, beta, message):
+    """The second-order differences need three samples of the function being
+    differentiated; node 0 is not one when that function is singular."""
+    fn = WeightedGridFunction(Grid(0.0, 1.0, n, 2.0), sigma, np.ones(n + 1))
+    with pytest.raises(ValueError, match=message):
+        hilfer_derivative(0.5, beta, fn)
+
+
 def test_operator_cache_reuse():
     g = Grid(0.0, 1.0, 128, 2.0)
     fn = WeightedGridFunction(g, 1.0 / 3.0, np.ones(129))
@@ -204,13 +223,13 @@ def test_operator_cache_reuse():
 
 def test_cached_operator_is_read_only():
     g = Grid(0.0, 1.0, 64, 2.0)
-    M = _operator(g, 0.5, 1.0 / 3.0, 6, 8)
+    M = _operator(g, 0.5, 1.0 / 3.0)
     assert not M.flags.writeable
     with pytest.raises(ValueError):
         M[1, 1] = 0.0
     fn = WeightedGridFunction(g, 1.0 / 3.0, np.ones(65))
     assert np.array_equal(rl_integral(0.5, fn).values, M @ fn.values)
-    row = _end_row(g, 0.5, 1.0 / 3.0, 6, 8)
+    row = _end_row(g, 0.5, 1.0 / 3.0)
     assert not row.flags.writeable
     with pytest.raises(ValueError):
         row[-1] = 0.0
@@ -308,6 +327,6 @@ def test_operator_matches_chunked_reference(q):
         for mu in (0.1, 0.5, 5.0 / 6.0, 1.0, 1.7, 2.0):
             for sigma in (0.0, 1.0 / 3.0, 0.7):
                 want = _ref_operator(g, mu, sigma)
-                got = _operator.__wrapped__(g, mu, sigma, 6, 8)
+                got = _operator.__wrapped__(g, mu, sigma)
                 scale = np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-13 * scale

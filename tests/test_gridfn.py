@@ -1,18 +1,23 @@
 """Tests for graded grids and weighted grid functions."""
 
+import io
+
 import numpy as np
 import pytest
 
 from hilferbvp.gridfn import (
     Grid,
     GridError,
-    SingularNode,
     WeightedGridFunction,
-    csv_text,
-    unweighted_value,
     weighted_norm,
     write_csv,
 )
+
+
+def csv_text(fn):
+    buf = io.StringIO()
+    write_csv(fn, buf)
+    return buf.getvalue()
 
 
 def test_grid_basic_properties():
@@ -95,48 +100,11 @@ def test_weighted_values_round_trip():
     assert np.allclose(z, w[1:] / tau**sigma)
 
 
-def test_from_weighted_samples_callable():
-    g = Grid(0.0, 1.0, 16, 2.0)
-    fn = WeightedGridFunction.from_weighted(g, 0.25, lambda tau: 1.0 + tau)
-    assert np.allclose(fn.values, 1.0 + g.offsets())
-    assert fn.values[0] == 1.0
-
-
-def test_from_unweighted_samples_callable():
-    g = Grid(0.0, 1.0, 16, 2.0)
-    sigma = 0.25
-    fn = WeightedGridFunction.from_unweighted(g, sigma, np.cos, limit0=0.5)
-    assert fn.values[0] == 0.5
-    tau = g.offsets()[1:]
-    assert np.allclose(fn.values[1:], tau**sigma * np.cos(g.nodes[1:]))
-
-
 def test_sigma_zero_identity_weight():
     g = Grid(0.0, 1.0, 8, 1.0)
     vals = np.sin(g.nodes)
     fn = WeightedGridFunction(g, 0.0, vals)
-    assert np.allclose(fn.unweighted(), vals[1:])
-    assert unweighted_value(fn, 0) == pytest.approx(vals[0])
-
-
-def test_unweighted_value_singular_node():
-    g = Grid(0.0, 1.0, 8, 2.0)
-    fn = WeightedGridFunction(g, 0.5, np.ones(9))
-    with pytest.raises(SingularNode):
-        unweighted_value(fn, 0)
-    assert unweighted_value(fn, 4) == pytest.approx(
-        1.0 / (g.nodes[4] - g.nodes[0]) ** 0.5
-    )
-
-
-def test_unweighted_value_negative_index():
-    g = Grid(0.0, 1.0, 8, 2.0)
-    fn = WeightedGridFunction(g, 0.5, np.ones(9))
-    assert unweighted_value(fn, -1) == pytest.approx(unweighted_value(fn, 8))
-    with pytest.raises(IndexError):
-        unweighted_value(fn, 9)
-    with pytest.raises(IndexError):
-        unweighted_value(fn, -10)
+    assert np.array_equal(fn.unweighted(), vals[1:])
 
 
 def test_weighted_norm_properties():
@@ -198,19 +166,20 @@ def test_csv_round_trips_floats():
     rng = np.random.default_rng(17)
     fn = WeightedGridFunction(g, 1.0 / 3.0, rng.normal(size=9))
     lines = csv_text(fn).strip().split("\n")[1:]
+    z = fn.unweighted()
     for i, line in enumerate(lines):
         t_s, w_s, z_s = line.split(",")
         assert float(t_s) == fn.grid.nodes[i]
         assert float(w_s) == fn.values[i]
         if i > 0:
-            assert float(z_s) == unweighted_value(fn, i)
+            assert float(z_s) == z[i - 1]
 
 
 def test_csv_sigma_zero_has_all_z():
     g = Grid(0.0, 1.0, 4, 1.0)
     fn = WeightedGridFunction(g, 0.0, np.ones(5))
     lines = csv_text(fn).strip().split("\n")[1:]
-    assert all(line.split(",")[2] != "" for line in lines)
+    assert [float(line.split(",")[2]) for line in lines] == fn.values.tolist()
 
 
 def test_write_csv_path_and_stream(tmp_path):

@@ -36,7 +36,7 @@ def test_constants_match_reference(p_ex):
     assert compute_W(p_ex, L4) == pytest.approx(ORACLE["W"], rel=1e-12)
     assert compute_contraction(p_ex, L4) == pytest.approx(
         ORACLE["K_con"], rel=1e-12)
-    assert compute_Lambda(p_ex, L4, F0_NORM4) == pytest.approx(
+    assert compute_Lambda(p_ex, F0_NORM4) == pytest.approx(
         ORACLE["Lambda"], rel=1e-12)
     assert compute_ell(p_ex, ETA_NORM4) == pytest.approx(
         ORACLE["ell"], rel=1e-12)
@@ -47,7 +47,7 @@ def test_derived_radius_and_epsilon(p_ex):
     r = compute_Omega(p_ex, N4) / (1.0 - g)
     assert r == pytest.approx(ORACLE["r"], rel=1e-12)
     w = compute_W(p_ex, L4)
-    eps = compute_Lambda(p_ex, L4, F0_NORM4) / (1.0 - w)
+    eps = compute_Lambda(p_ex, F0_NORM4) / (1.0 - w)
     assert eps == pytest.approx(ORACLE["epsilon"], rel=1e-12)
 
 
@@ -64,12 +64,6 @@ def test_contraction_matches_literal_form(p_ex):
     assert compute_contraction(p_ex, L4) == pytest.approx(want, rel=1e-14)
 
 
-def test_Lambda_independent_of_L(p_ex):
-    a = compute_Lambda(p_ex, L4, F0_NORM4)
-    b = compute_Lambda(p_ex, 99.0, F0_NORM4)
-    assert a == b
-
-
 def test_W_linear_in_L(p_ex):
     assert compute_W(p_ex, 2.0 * L4) == pytest.approx(
         2.0 * compute_W(p_ex, L4), rel=1e-15)
@@ -78,21 +72,14 @@ def test_W_linear_in_L(p_ex):
 
 def test_weighted_sup_example(p_ex):
     # (t-a)^(1/3) |f(t, 0)| = t^(1/6), maximal at t = b = 1
-    assert weighted_sup(p_ex.f, p_ex, z_value=0.0) == pytest.approx(1.0, rel=1e-12)
+    assert weighted_sup(p_ex.f, p_ex) == pytest.approx(1.0, rel=1e-12)
     assert weighted_sup(parse(EXAMPLE_ETA), p_ex) == pytest.approx(
         ETA_NORM4, rel=1e-12)
 
 
 def test_lipschitz_estimate_window(p_ex):
-    got = estimate_lipschitz(p_ex.f, p_ex, 10.0, 129)
+    got = estimate_lipschitz(p_ex.f, p_ex)
     assert 0.0624 <= got <= 0.0625 + 1e-9
-
-
-def test_lipschitz_estimate_validation(p_ex):
-    with pytest.raises(ValueError):
-        estimate_lipschitz(p_ex.f, p_ex, 10.0, 1)
-    with pytest.raises(ValueError):
-        estimate_lipschitz(p_ex.f, p_ex, 0.0, 129)
 
 
 def test_growth_estimate_window(p_ex):
