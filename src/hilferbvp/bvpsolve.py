@@ -198,6 +198,14 @@ def check_settings(tol: float, max_iter: int, divergence_factor: float) -> None:
             f"divergence_factor must be > 1 and finite, got {divergence_factor}")
 
 
+def _check_finite(z: WeightedGridFunction, iteration: int) -> None:
+    for what, v in (("the weighted iterate", z.values),
+                     ("its unweighted samples", z.unweighted())):
+        if not np.all(np.isfinite(v)):
+            raise OverflowError(f"Picard iteration {iteration}: {what} overflowed")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
 def solve_picard(p: ProblemSpec, grid: Grid, *, tol: float = 1e-10,
                  max_iter: int = 200,
                  divergence_factor: float = 1.5) -> SolveResult:
@@ -205,16 +213,19 @@ def solve_picard(p: ProblemSpec, grid: Grid, *, tol: float = 1e-10,
 
     Stops on step norm <= tol (converged), on max_iter, or early when the
     step norm grows by >= divergence_factor three times in a row (diverged).
-    Residuals are filled only for converged runs.
+    Residuals are filled only for converged runs.  Raises OverflowError
+    when an iterate, or its unweighted samples, stop being finite.
     """
     check_settings(tol, max_iter, divergence_factor)
     z = boundary_term(p, grid)
+    _check_finite(z, 0)
     steps: list[float] = []
     converged = False
     diverged = False
     growth = 0
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         z_new = apply_T(p, z)
+        _check_finite(z_new, iteration)
         step = float(np.abs(z_new.values - z.values).max())
         if steps and step >= divergence_factor * steps[-1]:
             growth += 1

@@ -6,8 +6,8 @@
     hilfer example [--json]
 
 Exit codes: 0 success / a theorem applies; 1 input error (any ValueError);
-2 no theorem applies; 3 solver failed to converge, f failed to evaluate or
-a constant overflowed (any ArithmeticError); 4 an operator identity failed.
+2 no theorem applies; 3 no convergence, f failed to evaluate, or a constant
+or the solution overflowed (any ArithmeticError); 4 an identity failed.
 
 Range rules live with the code that uses each value (ProblemSpec, Bounds,
 Grid, bvpsolve.check_settings); problem_from_dict checks only JSON types.

@@ -10,7 +10,9 @@ Small arithmetic grammar over the variables t and z:
 
 Precedence: ^  >  unary -  >  * /  >  + -, so "-t^2" means -(t^2).
 Functions: sin cos exp ln abs sqrt.  Numbers accept scientific notation
-and must be finite.
+and must be finite.  Nesting is limited to MAX_DEPTH = 100 levels, each
+tree node and each pair of parentheses counting one; a chain such as
+t+t+t builds a left-deep tree, so it counts one level per operator.
 
 evaluate takes t and z as floats or as numpy arrays that broadcast
 together, so one call covers a whole mesh or sample grid.  Evaluation is
@@ -21,6 +23,8 @@ names the first offending value.
 """
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -100,149 +104,104 @@ class Call:
 Expr = Union[Number, Var, Unary, Binary, Call]
 
 
+# binding powers, read by the parser and by to_string; ^ groups to the
+# right, + - * / to the left
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+# nesting limit (see above): parse, evaluate and to_string recurse this deep
+MAX_DEPTH = 100
+
 # ---------------------------------------------------------------- tokenizer
 
-_TOKEN_NUM = "num"
-_TOKEN_NAME = "name"
-_TOKEN_OP = "op"
-_TOKEN_END = "end"
-_DIGITS = "0123456789"  # str.isdigit would also accept "²" and "١"
+# whitespace, then at most one token; [0-9] because \d and float() would
+# also accept "١" (and \w accepts "²", hence the name check below)
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+    (?P<num> (?:[0-9]+(?:\.[0-9]*)? | \.[0-9]+) (?:[eE][+-]?[0-9]+)? )
+  | (?P<name> \w+ )
+  | (?P<op> [-+*/^()−] )  # − is the unicode minus of pasted formulas
+)?""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "−":  # unicode minus, common in pasted formulas
-            toks.append((_TOKEN_OP, "-", i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            toks.append((_TOKEN_OP, ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k] in _DIGITS:
-                    j = k
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
-            toks.append((_TOKEN_NUM, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((_TOKEN_NAME, text[i:j], i))
-            i = j
-            continue
-        raise ParseError(i, "a number, name, or operator", ch)
-    toks.append((_TOKEN_END, "", n))
-    return toks
+    """(kind, text, offset) of each token, last first, from ("end", "", n)."""
+    toks, i = [], 0
+    while True:
+        m = _TOKEN.match(text, i)
+        kind, i = m.lastgroup, m.end()
+        if kind is None:
+            if i < len(text):
+                raise ParseError(i, "a number, name, or operator", text[i])
+            toks.append(("end", "", i))
+            return toks[::-1]
+        off, i = m.span(kind)
+        val = text[off:i]
+        if kind == "name" and not (val[0].isalpha() or val[0] == "_"):
+            raise ParseError(off, "a number, name, or operator", val[0])
+        toks.append((kind, "-" if val == "−" else val, off))
 
 
 # ------------------------------------------------------------------- parser
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
+def _expect(toks: list, op: str, expected: str) -> None:
+    kind, val, off = toks.pop()
+    if kind != "op" or val != op:
+        raise ParseError(off, expected, val)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.pos]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+def _deeper(level: int, off: int, found: str) -> None:
+    if level > MAX_DEPTH:
+        raise ParseError(off, f"at most {MAX_DEPTH} levels of nesting", found)
 
-    def expect_op(self, op: str, expected: str) -> None:
-        kind, val, off = self.peek()
-        if kind != _TOKEN_OP or val != op:
-            raise ParseError(off, expected, val)
-        self.advance()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOKEN_OP and val in "+-":
-                self.advance()
-                node = Binary(val, node, self.parse_term())
-            else:
-                return node
+def _binary(toks: list, depth: int, min_prec: int = 1) -> tuple[Expr, int]:
+    """An operand and every operator after it that binds at least min_prec,
+    as (tree, height); depth levels lie above the tree."""
+    node, height = _operand(toks, depth)
+    while toks[-1][0] == "op" and _PREC.get(toks[-1][1], 0) >= min_prec:
+        _, op, off = toks.pop()
+        prec = _PREC[op]
+        right, h = _binary(toks, depth + 1, prec if op == "^" else prec + 1)
+        height = 1 + max(height, h)  # a chain of + - * / grows to the left
+        _deeper(depth + height, off, op)
+        node = Binary(op, node, right)
+    return node, height
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOKEN_OP and val in "*/":
-                self.advance()
-                node = Binary(val, node, self.parse_factor())
-            else:
-                return node
 
-    def parse_factor(self) -> Expr:
-        # unary minus binds looser than ^, so -t^2 is -(t^2)
-        kind, val, _ = self.peek()
-        if kind == _TOKEN_OP and val == "-":
-            self.advance()
-            return Unary("-", self.parse_factor())
-        node = self.parse_primary()
-        kind, val, _ = self.peek()
-        if kind == _TOKEN_OP and val == "^":
-            self.advance()
-            return Binary("^", node, self.parse_factor())
-        return node
-
-    def parse_primary(self) -> Expr:
-        kind, val, off = self.advance()
-        if kind == _TOKEN_NUM:
-            value = float(val)
-            if not np.isfinite(value):
-                raise ParseError(off, "a finite number", val)
-            return Number(value)
-        if kind == _TOKEN_OP and val == "(":
-            node = self.parse_expr()
-            self.expect_op(")", "')'")
-            return node
-        if kind == _TOKEN_NAME:
-            if val in _VARIABLES:
-                return Var(val)
-            if val in _FUNCTIONS:
-                self.expect_op("(", f"'(' after {val}")
-                arg = self.parse_expr()
-                self.expect_op(")", "')'")
-                return Call(val, arg)
-            raise UnknownIdentifier(off, val)
+def _operand(toks: list, depth: int) -> tuple[Expr, int]:
+    kind, val, off = toks.pop()
+    _deeper(depth + 1, off, val)
+    if kind == "num":
+        value = float(val)
+        if not math.isfinite(value):
+            raise ParseError(off, "a finite number", val)
+        return Number(value), 1
+    if val in _VARIABLES:
+        return Var(val), 1
+    if val == "-":
+        node, h = _binary(toks, depth + 1, _PREC["neg"])
+        return Unary("-", node), h + 1
+    if val in _FUNCTIONS:
+        _expect(toks, "(", f"'(' after {val}")
+    elif kind == "name":
+        raise UnknownIdentifier(off, val)
+    elif val != "(":
         raise ParseError(off, "a number, variable, function, or '('", val)
+    node, h = _binary(toks, depth + 1)
+    _expect(toks, ")", "')'")
+    return (Call(val, node) if val in _FUNCTIONS else node), h + 1
 
 
 def parse(text: str) -> Expr:
     """Parse text into an expression tree.
 
     Raises ParseError (with offset and expected-token description) on
-    malformed input, UnknownIdentifier on names outside the language.
+    malformed input or nesting deeper than MAX_DEPTH, UnknownIdentifier on
+    names outside the language.
     """
-    p = _Parser(text)
-    node = p.parse_expr()
-    kind, val, off = p.peek()
-    if kind != _TOKEN_END:
+    toks = _tokenize(text)
+    node, _ = _binary(toks, 0)
+    kind, val, off = toks[-1]
+    if kind != "end":
         raise ParseError(off, "end of input or an operator", val)
     return node
 
@@ -304,9 +263,8 @@ def evaluate(e: Expr, t, z):
 
 # ------------------------------------------------------------ pretty-printer
 
-# binding powers; children are parenthesized so that reparsing rebuilds the
-# exact same tree (left-assoc + - * /, right-assoc ^)
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+# children are parenthesized by _PREC so that reparsing rebuilds the exact
+# same tree
 _ATOM = 5
 
 
@@ -327,17 +285,9 @@ def _fmt(e: Expr) -> tuple[str, int]:
         lp = _PREC[e.op]
         ls, lq = _fmt(e.left)
         rs, rq = _fmt(e.right)
-        if e.op == "^":
-            # the base of ^ is a primary in the grammar; the exponent may
-            # share precedence (right-associative)
-            if lq <= lp:
-                ls = f"({ls})"
-            if rq < lp:
-                rs = f"({rs})"
-            return f"{ls}^{rs}", lp
-        if lq < lp:
+        if lq < lp or (lq == lp and e.op == "^"):
             ls = f"({ls})"
-        if rq <= lp:
+        if rq < lp or (rq == lp and e.op != "^"):
             rs = f"({rs})"
         sep = f" {e.op} " if lp == 1 else e.op
         return f"{ls}{sep}{rs}", lp

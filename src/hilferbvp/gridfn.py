@@ -26,15 +26,16 @@ class GridError(ValueError):
     """Invalid mesh parameters (or a mesh that collapses in float arithmetic)."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
     """Graded mesh on [a, b] with N panels: t_i = a + (b-a) (i/N)^q."""
 
     a: float
     b: float
     n_panels: int
-    grading: float = 1.0
-    nodes: np.ndarray = field(init=False, repr=False)
+    grading: float
+    # derived, so equality and hash (fracops' cache keys) leave it out
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.b > self.a):
@@ -55,15 +56,6 @@ class Grid:
                 "in float arithmetic")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-
-    # identity is the defining scalars; nodes are derived from them
-    def __eq__(self, other):
-        return (isinstance(other, Grid)
-                and (self.a, self.b, self.n_panels, self.grading)
-                == (other.a, other.b, other.n_panels, other.grading))
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.n_panels, self.grading))
 
     @property
     def n_nodes(self) -> int:
@@ -99,8 +91,6 @@ class WeightedGridFunction:
     def unweighted(self) -> np.ndarray:
         """z(t_i) for i >= 1 (index 0 of the result is node 1)."""
         tau = self.grid.offsets()[1:]
-        if self.sigma == 0.0:
-            return self.values[1:].copy()
         return self.values[1:] * tau ** (-self.sigma)
 
 

@@ -132,6 +132,15 @@ def test_solve_tol_and_max_iter_overrides(example_file, capsys):
     (lambda raw: raw.update(bounds={"L": -1.0}), "bounds.L"),
     (lambda raw: raw["solver"].update(divergence_factor=0), "divergence_factor"),
     (lambda raw: raw.update(a=-1e308, b=1e308), "b - a overflows"),
+    # nesting beyond exprlang.MAX_DEPTH, each kind once
+    pytest.param(lambda raw: raw.update(f="(" * 300 + "t" + ")" * 300), "f:",
+                 id="deep-parentheses"),
+    pytest.param(lambda raw: raw.update(f="-" * 1200 + "t"), "f:",
+                 id="deep-unary-minus"),
+    pytest.param(lambda raw: raw.update(f="t^" * 1200 + "1"), "f:",
+                 id="deep-power"),
+    pytest.param(lambda raw: raw.update(f="t+" * 5000 + "t"), "f:",
+                 id="long-sum"),
 ])
 def test_bad_problem_files(tmp_path, capsys, mangle, fragment):
     raw = _no_bounds_problem()
@@ -165,6 +174,21 @@ def test_check_overflowing_constant_exit(tmp_path, capsys):
     assert "evaluation failed:" in err
     assert "Omega" in err
     assert "[0.0, 1e+300]" in err
+
+
+@pytest.mark.parametrize("field,value,what", [
+    ("b", 1e300, "Picard iteration 1: the weighted iterate overflowed"),
+    ("e", 1e308, "Picard iteration 0: its unweighted samples overflowed"),
+])
+def test_solve_overflowing_iterate_exit(tmp_path, capsys, field, value, what):
+    # any numpy warning would fail the test under filterwarnings = error
+    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
+    raw[field] = value
+    path = _write_problem(tmp_path, raw)
+    rc = cli.main(["solve", path, "--nodes", "64"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert err == f"evaluation failed: {what}\n"
 
 
 @pytest.mark.parametrize("flag", ["--nodes", "--grading"])

@@ -2,11 +2,14 @@
 
 Covers tokenizing, parsing, evaluation, error reporting, and the
 round-trip guarantee that printing and reparsing rebuilds the exact
-same tree.  The array evaluator is checked against a scalar tree-walk
-kept here as the reference implementation.
+same tree.  Precedence is checked against Python's own parser, and the
+array evaluator against a scalar tree-walk kept here as the reference
+implementation.
 """
 
+import ast
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hilferbvp.exprlang import (
+    MAX_DEPTH,
     Binary,
     Call,
     EvalError,
@@ -268,6 +272,95 @@ def test_printer_parenthesizes_structure():
 
 def test_whitespace_insensitive():
     assert parse("2+3*t") == parse("  2 + 3 * t  ")
+
+
+def _height(e):
+    kids = [getattr(e, f) for f in ("operand", "left", "right", "arg")
+            if hasattr(e, f)]
+    return 1 + max(map(_height, kids), default=0)
+
+
+def test_nesting_limit():
+    """Text exactly MAX_DEPTH levels deep parses and evaluates; one level
+    more is a ParseError at the token that crosses the limit."""
+    n = MAX_DEPTH - 1
+    at_limit = [  # text, tree height, value at t = 1
+        ("(" * n + "t" + ")" * n, 1, 1.0),
+        ("-" * n + "t", MAX_DEPTH, -1.0),
+        ("t^" * n + "1", MAX_DEPTH, 1.0),
+        ("t+" * n + "t", MAX_DEPTH, float(MAX_DEPTH)),  # left-deep
+    ]
+    for text, height, value in at_limit:
+        tree = parse(text)
+        assert _height(tree) == height
+        assert evaluate(tree, 1.0, 0.0) == value
+        assert parse(to_string(tree)) == tree
+    too_deep = [  # text, offset of the token one level too deep
+        ("(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH, MAX_DEPTH),
+        ("-" * MAX_DEPTH + "t", MAX_DEPTH),
+        ("t^" * MAX_DEPTH + "1", 2 * MAX_DEPTH),
+        ("t+" * MAX_DEPTH + "t", 2 * MAX_DEPTH - 1),
+        # parentheses and a chain above them add up
+        ("(" * 50 + "t" + ")" * 50 + "+t" * 50, 199),
+    ]
+    for text, offset in too_deep:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+
+def _random_text(rng, depth):
+    """A random sentence of the grammar, spelled unlike to_string: random
+    spacing, redundant parentheses, the unicode minus, varied numbers."""
+    def sp():
+        return rng.choice(["", "", " ", "  ", "\t"])
+
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        text = rng.choice(["t", "z", "2.", ".5", "1e-3", "3.25E2", "7", "0.75"])
+    elif r < 0.45:
+        text = rng.choice("-−") + sp() + _random_text(rng, depth - 1)
+    elif r < 0.55:
+        text = (rng.choice(["sin", "cos", "exp", "ln", "abs", "sqrt"]) + sp()
+                + "(" + sp() + _random_text(rng, depth - 1) + sp() + ")")
+    else:
+        text = (_random_text(rng, depth - 1) + sp() + rng.choice("+-−*/^^")
+                + sp() + _random_text(rng, depth - 1))
+    if rng.random() < 0.2:
+        text = "(" + sp() + text + sp() + ")"
+    return text
+
+
+_PY_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+
+
+def _from_python(node):
+    """The tree of a Python expression node built from + - * / ** and
+    unary minus over names, numbers and one-argument calls."""
+    if isinstance(node, ast.BinOp):
+        return Binary(_PY_OPS[type(node.op)], _from_python(node.left),
+                      _from_python(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Unary("-", _from_python(node.operand))
+    if isinstance(node, ast.Call):
+        (arg,) = node.args
+        return Call(node.func.id, _from_python(arg))
+    if isinstance(node, ast.Name):
+        return Var(node.id)
+    if isinstance(node, ast.Constant):
+        return Number(float(node.value))
+    raise TypeError(ast.dump(node))
+
+
+def test_precedence_matches_python():
+    """Python's power, factor, term and arith rules are this grammar's with
+    ** for ^, so Python's parser is an independent oracle for precedence
+    and associativity."""
+    rng = random.Random(20240607)
+    for _ in range(2000):
+        text = _random_text(rng, 5)
+        py = text.replace("^", "**").replace("−", "-")
+        assert parse(text) == _from_python(ast.parse(py, mode="eval").body), text
 
 
 # ------------------------------------------------------ reference evaluator
