@@ -21,8 +21,8 @@ from .fracops import (OrderError, hilfer_derivative, hilfer_gamma, power_rule,
                       rl_integral)
 from .gridfn import (Grid, GridError, WeightedGridFunction, weighted_norm,
                      write_csv)
-from .hypcheck import (HypothesisReport, applicability_report, compute_G,
-                       compute_Lambda, compute_Omega, compute_W,
+from .hypcheck import (HypothesisReport, applicability_report, compute_B,
+                       compute_G, compute_Lambda, compute_Omega, compute_W,
                        compute_contraction, compute_ell, estimate_growth,
                        estimate_lipschitz)
 from .specfun import PoleError, beta, gamma
@@ -36,7 +36,7 @@ __all__ = [
     "OrderError", "hilfer_derivative", "hilfer_gamma", "power_rule",
     "rl_integral",
     "Grid", "GridError", "WeightedGridFunction", "weighted_norm", "write_csv",
-    "HypothesisReport", "applicability_report", "compute_G",
+    "HypothesisReport", "applicability_report", "compute_B", "compute_G",
     "compute_Lambda", "compute_Omega", "compute_W", "compute_contraction",
     "compute_ell", "estimate_growth", "estimate_lipschitz",
     "PoleError", "beta", "gamma",

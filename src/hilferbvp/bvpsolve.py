@@ -43,7 +43,7 @@ class Bounds:
     """Optional user-certified hypothesis constants.
 
     N_bound, zeta: weighted growth |f| <= N (1 + zeta ||z||); L: Lipschitz
-    constant in z; eta: expression bounding |f(t, z)| pointwise in t.
+    constant in z; eta: expression in t alone with |f(t, z)| <= eta(t).
     """
 
     N_bound: float | None = None
@@ -55,6 +55,8 @@ class Bounds:
         for key, v in (("N", self.N_bound), ("zeta", self.zeta), ("L", self.L)):
             if v is not None and not 0.0 <= v < math.inf:
                 raise ValueError(f"bounds.{key}: must be finite and >= 0, got {v}")
+        if self.eta is not None and "z" in exprlang.variables(self.eta):
+            raise ValueError("bounds.eta: must not depend on z")
 
 
 @dataclass(frozen=True)

@@ -195,8 +195,11 @@ def cmd_check(args) -> int:
                 src = rep.inputs_used[key]
                 print(f"{key} = {_fmt(val)} ({src})" if val is not None
                       else f"{key} = {src}")
-        for key in ("G", "Omega", "r", "W", "K_con", "Lambda", "epsilon", "ell"):
+        for key in ("B", "G", "Omega", "r", "W", "K_con", "Lambda", "epsilon",
+                    "ell"):
             print(f"{key} = {_fmt(getattr(rep, key))}")
+        for route, radius in rep.radii.items():
+            print(f"radius[{route}] = {_fmt(radius)}")
         print(f"schauder_applies = {rep.schauder_applies}")
         print(f"schaefer_applies = {rep.schaefer_applies}")
         print(f"krasnoselskii_applies = {rep.krasnoselskii_applies}")

@@ -33,7 +33,7 @@ import numpy as np
 __all__ = [
     "Expr", "Number", "Var", "Unary", "Binary", "Call",
     "ParseError", "UnknownIdentifier", "EvalError",
-    "parse", "evaluate", "to_string",
+    "parse", "evaluate", "to_string", "variables",
 ]
 
 # the language's functions and binary operators, as the numpy ufuncs that
@@ -74,7 +74,11 @@ class EvalError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Number:
-    value: float
+    value: float  # finite and not negative; parse builds -2 as Unary("-", 2)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.copysign(1.0, self.value) > 0):
+            raise ValueError(f"Number needs a finite value >= 0, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,7 @@ _ATOM = 5
 
 def _fmt(e: Expr) -> tuple[str, int]:
     if isinstance(e, Number):
-        return repr(e.value), _ATOM if e.value >= 0 else _PREC["neg"]
+        return repr(e.value), _ATOM
     if isinstance(e, Var):
         return e.name, _ATOM
     if isinstance(e, Call):
@@ -298,3 +302,12 @@ def to_string(e: Expr) -> str:
     """Render e with parentheses chosen so parse(to_string(e)) rebuilds the
     identical tree (numbers printed via repr, so values survive exactly)."""
     return _fmt(e)[0]
+
+
+def variables(e: Expr) -> set[str]:
+    """The names of the variables that e mentions."""
+    if isinstance(e, Binary):
+        return variables(e.left) | variables(e.right)
+    if isinstance(e, (Unary, Call)):
+        return variables(e.operand if isinstance(e, Unary) else e.arg)
+    return {e.name} if isinstance(e, Var) else set()

@@ -1,17 +1,27 @@
 """Existence and uniqueness hypothesis checking.
 
-Three fixed-point routes certify solutions of the weighted boundary value
-problem, each gated by computable constants:
+T's linear part (the boundary integral plus I^alpha, weighted) maps a
+weighted sup norm ||F|| to at most B ||F||, where
 
-  * Schauder:        growth bound |f| <= N (1 + zeta ||z||) and G < 1
-                     give a solution in the ball of radius r = Omega/(1-G);
-  * Schaefer:        a pointwise dominator eta gives a solution with
-                     a-priori bound ell (computed from the literal form of
-                     the bound, which carries a Gamma(alpha)/B(alpha,1)
-                     factor; flagged in the report);
-  * Krasnoselskii:   Lipschitz f with W < 1 splits T into a contraction
-                     plus a compact part; with the contraction constant
-                     K_con < 1 the solution is also unique.
+    B = (b-a)^alpha [|rho| / Gamma(alpha+1) + Gamma(gamma) / Gamma(gamma+alpha)],
+
+rho = 1/(1 + c/d), by the power rule for I^mu (s-a)^(gamma-1).  Hence
+||T z|| <= |bc| + B ||f(., z)|| with bc the boundary constant, and B alone
+decides the three fixed-point routes, each with the radius of a ball that
+contains a solution (the report's `radii`):
+
+  * Schauder:        |f| <= N (1 + zeta ||z||) and B N zeta < 1; radius
+                     (|bc| + B N) / (1 - B N zeta);
+  * Krasnoselskii:   Lipschitz f with W = B L < 1; radius
+                     (|bc| + B ||f(., 0)||) / (1 - W).  T is then a
+                     contraction, so the solution is also unique;
+  * Schaefer:        a pointwise dominator |f(t, z)| <= eta(t); radius
+                     |bc| + B ||eta||.
+
+The paper's own constants G, Omega, r, ell, Lambda and epsilon are reported
+as literal values for reproduction and decide nothing: G lacks the factor
+|rho|, and the others keep the signed e-term.  K_con is the Lipschitz
+constant of the contraction part, B's first term times L.
 
 Growth and Lipschitz constants may be certified by the user or estimated by
 sampling; estimated constants never certify a theorem unless the caller
@@ -21,6 +31,7 @@ an f singular at a (like the built-in example) has finite constants.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -30,18 +41,26 @@ from . import exprlang
 from .bvpsolve import Bounds, ProblemSpec
 from .exprlang import Expr
 from .gridfn import Grid
-from .specfun import PoleError, beta as beta_fn, gamma
+from .specfun import gamma
 
 __all__ = [
-    "HypothesisReport", "compute_G", "compute_Omega", "compute_W",
+    "HypothesisReport", "compute_B", "compute_G", "compute_Omega", "compute_W",
     "compute_contraction", "compute_Lambda", "compute_ell",
     "estimate_lipschitz", "estimate_growth", "weighted_sup",
     "applicability_report",
 ]
 
 
+def compute_B(p: ProblemSpec) -> float:
+    """Bound on the weighted sup norm of T's linear part:
+    (b-a)^alpha [|rho| / Gamma(alpha+1) + Gamma(gamma) / Gamma(gamma+alpha)]."""
+    g = p.gamma
+    return (p.b - p.a) ** p.alpha * (abs(p.resolvent) / gamma(p.alpha + 1.0)
+                                     + gamma(g) / gamma(g + p.alpha))
+
+
 def compute_G(p: ProblemSpec, n_bound: float, zeta: float) -> float:
-    """Growth-route contraction constant:
+    """The paper's growth-route constant (literal; decides nothing):
     Gamma(gamma)/Gamma(alpha+1) [(b-a)^alpha + (b-a)^(alpha+1-gamma)] N zeta."""
     ba = p.b - p.a
     g = p.gamma
@@ -50,11 +69,7 @@ def compute_G(p: ProblemSpec, n_bound: float, zeta: float) -> float:
 
 
 def compute_Omega(p: ProblemSpec, n_bound: float) -> float:
-    """Offset of the ball map; r = Omega / (1 - G) when G < 1.
-
-    The e-term enters with its sign (no absolute value), matching the
-    published bound; a negative Omega is reported as r = 0 with a warning.
-    """
+    """The paper's ball offset, r = Omega/(1 - G) (literal; signed e-term)."""
     ba = p.b - p.a
     g = p.gamma
     return (p.boundary_const
@@ -64,48 +79,29 @@ def compute_Omega(p: ProblemSpec, n_bound: float) -> float:
             * n_bound)
 
 
-def _w_bracket(p: ProblemSpec) -> float:
-    """[ |1/(1+c/d)| / Gamma(gamma) + B(gamma-1, alpha+1)/Gamma(gamma-1) ]
-    * Gamma(gamma-1) (b-a)^alpha / (B(gamma-1, 1) Gamma(alpha+1)).
-
-    Raises PoleError at gamma = 1 where Gamma(gamma-1) blows up.
-    """
-    g = p.gamma
-    br = (abs(p.resolvent) / gamma(g)
-          + beta_fn(g - 1.0, p.alpha + 1.0) / gamma(g - 1.0))
-    return (br * gamma(g - 1.0) * (p.b - p.a) ** p.alpha
-            / (beta_fn(g - 1.0, 1.0) * gamma(p.alpha + 1.0)))
-
-
 def compute_W(p: ProblemSpec, lips: float) -> float:
-    """Krasnoselskii compact-part constant; needs W < 1."""
-    return _w_bracket(p) * lips
+    """Lipschitz constant of T in the weighted sup norm; needs W < 1."""
+    return compute_B(p) * lips
 
 
 def compute_contraction(p: ProblemSpec, lips: float) -> float:
-    """Lipschitz constant of the contraction part T1:
+    """Lipschitz constant of the contraction part T1 (B's first term times L):
     |1/(1+c/d)| (b-a)^alpha L / Gamma(alpha+1)."""
     return abs(p.resolvent) * (p.b - p.a) ** p.alpha * lips / gamma(p.alpha + 1.0)
 
 
 def compute_Lambda(p: ProblemSpec, f0_norm: float) -> float:
-    """Radius offset for the Krasnoselskii ball, epsilon = Lambda/(1 - W).
-
-    The bound has no L term: the fixed part of f carries the mass.
-    """
-    return _w_bracket(p) * f0_norm + p.boundary_const
+    """The paper's offset epsilon = Lambda/(1 - W) (literal; signed e-term)."""
+    return compute_B(p) * f0_norm + p.boundary_const
 
 
 def compute_ell(p: ProblemSpec, eta_norm: float) -> float:
-    """A-priori bound radius for the dominator route, in its literal form
-    (keeping the Gamma(alpha)/B(alpha,1) = Gamma(alpha+1) factor and the
-    (b-a)^(-1) normalization; the report marks it 'literal-form')."""
+    """The paper's a-priori bound for the eta route (literal; signed e-term)."""
     ba = p.b - p.a
     g = p.gamma
-    return (ba ** 0 / gamma(g) * p.e / (p.d * (1.0 + p.c / p.d))
-            + (abs(p.resolvent) * ba ** (-1.0) / gamma(g)
-               * gamma(p.alpha) / beta_fn(p.alpha, 1.0)
-               + beta_fn(g, 1.0) / (gamma(p.alpha) * ba ** g))
+    return (p.boundary_const
+            + (abs(p.resolvent) / (ba * gamma(g)) * gamma(p.alpha + 1.0)
+               + 1.0 / (g * gamma(p.alpha) * ba ** g))
             * ba ** (1.0 + p.alpha) * eta_norm)
 
 
@@ -182,18 +178,20 @@ def estimate_growth(f: Expr, p: ProblemSpec,
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    G: float | None
-    Omega: float | None
+    B: float
+    G: float
+    Omega: float
     r: float | None
     ell: float | None
-    W: float | None
-    Lambda: float | None
+    W: float
+    Lambda: float
     epsilon: float | None
-    K_con: float | None
+    K_con: float
     schauder_applies: bool
     schaefer_applies: bool
     krasnoselskii_applies: bool
     unique: bool
+    radii: dict = field(default_factory=dict)
     inputs_used: dict = field(default_factory=dict)
     resolved: dict = field(default_factory=dict)
     reasons: dict = field(default_factory=dict)
@@ -206,11 +204,12 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
                          trust_estimates: bool = False) -> HypothesisReport:
     """Compute every hypothesis constant and decide which theorems certify.
 
-    A flag is set only when its inequality holds AND the constants feeding
-    it are certified: supplied by the user, or estimated with
-    trust_estimates = True.  Sampled sup norms of user-supplied expressions
-    (f at z = 0, eta) count as certified.  A constant whose formula
-    overflows raises an OverflowError that names it and [a, b].
+    A flag is set only when its route's radius exists (its inequality in B
+    holds) AND the constants feeding it are certified: supplied by the
+    user, or estimated with trust_estimates = True.  Sampled sup norms of
+    user-supplied expressions (f at z = 0, eta) count as certified.  A
+    constant whose formula overflows raises an OverflowError that names it
+    and [a, b].
     """
     bounds = p.bounds or Bounds()
     inputs: dict[str, str] = {}
@@ -227,21 +226,13 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
         resolved[name] = value
         return value, trust_estimates
 
-    nz = None
-
-    def growth():
-        nonlocal nz
-        if nz is None:
-            nz = estimate_growth(p.f, p, grid)
-        return nz
-
+    growth = functools.cache(lambda: estimate_growth(p.f, p, grid))
     n_bound, n_ok = pick("N_bound", bounds.N_bound, lambda: growth()[0])
     zeta, z_ok = pick("zeta", bounds.zeta, lambda: growth()[1])
     lips, l_ok = pick("L", bounds.L, lambda: estimate_lipschitz(p.f, p, grid))
-    if inputs["N_bound"] == "estimated" or inputs["zeta"] == "estimated":
-        if not trust_estimates:
-            reasons["growth"] = ("N/zeta are sampled estimates; pass "
-                                 "trust_estimates to certify them")
+    if "estimated" in (inputs["N_bound"], inputs["zeta"]) and not trust_estimates:
+        reasons["growth"] = ("N/zeta are sampled estimates; pass "
+                             "trust_estimates to certify them")
     if inputs["L"] == "estimated" and not trust_estimates:
         reasons["lipschitz"] = ("L is a sampled estimate; pass "
                                 "trust_estimates to certify it")
@@ -256,62 +247,51 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
             raise OverflowError(
                 f"constant {name} overflows on [a, b] = [{p.a}, {p.b}]") from exc
 
-    # Schauder route
+    B = const("B", compute_B)
     G = const("G", compute_G, n_bound, zeta)
     Omega = const("Omega", compute_Omega, n_bound)
-    r = None
-    if G < 1.0:
-        r = Omega / (1.0 - G)
-        if r < 0.0:
-            reasons["r"] = ("Omega is negative (signed e-term); radius "
-                            "clamped to 0")
-            r = 0.0
-    else:
-        reasons["schauder"] = f"G = {G:.6g} >= 1"
-    schauder = G < 1.0 and n_ok and z_ok
+    W = const("W", compute_W, lips)
+    K_con = const("K_con", compute_contraction, lips)
+    Lambda = const("Lambda", compute_Lambda, f0_norm)
 
-    # Krasnoselskii route (and uniqueness)
-    W = K_con = Lambda = epsilon = None
-    kras = False
-    try:
-        W = const("W", compute_W, lips)
-        K_con = const("K_con", compute_contraction, lips)
-        Lambda = const("Lambda", compute_Lambda, f0_norm)
-        if W < 1.0:
-            epsilon = Lambda / (1.0 - W)
-        ineq = W < 1.0 and K_con < 1.0
-        if not ineq:
-            reasons["krasnoselskii"] = (
-                f"W = {W:.6g}, K_con = {K_con:.6g}; both must be < 1")
-        kras = ineq and l_ok
-    except PoleError:
-        reasons["krasnoselskii"] = (
-            "constant formula inapplicable at gamma = 1 (Gamma(0) pole)")
-
-    # Schaefer route: needs a pointwise dominator
-    ell = None
+    # Schaefer's dominator: eta, or |f(., 0)| for an f certified free of z
     eta_norm = None
-    schaefer = False
     if bounds.eta is not None:
         inputs["eta"] = "user"
         eta_norm = weighted_sup(bounds.eta, p, grid)
-        ell = const("ell", compute_ell, eta_norm)
-        schaefer = True
-        reasons.setdefault("ell", "literal-form bound")
-    elif f0_norm >= 0.0 and lips == 0.0 and l_ok:
-        # z-independent f dominates itself
+        reasons["ell"] = "literal-form bound"
+    elif lips == 0.0 and l_ok:
         inputs["eta"] = "fallback-f0"
         eta_norm = f0_norm
-        ell = const("ell", compute_ell, eta_norm)
-        schaefer = True
-        reasons.setdefault("ell", "literal-form bound; eta taken as |f(., 0)|")
+        reasons["ell"] = "literal-form bound; eta taken as |f(., 0)|"
     else:
         inputs["eta"] = "absent"
         reasons["schaefer"] = "no dominator eta supplied"
     resolved["eta_norm"] = eta_norm
+    ell = None if eta_norm is None else const("ell", compute_ell, eta_norm)
+
+    # ||T z|| <= |bc| + B ||f(., z)||, so each route's ball maps into itself
+    bc = abs(p.boundary_const)
+    growth_ratio = B * n_bound * zeta
+    radii = {
+        "schauder": ((bc + B * n_bound) / (1.0 - growth_ratio)
+                     if growth_ratio < 1.0 else None),
+        "krasnoselskii": (bc + B * f0_norm) / (1.0 - W) if W < 1.0 else None,
+        "schaefer": None if eta_norm is None else bc + B * eta_norm,
+    }
+    if radii["schauder"] is None:
+        reasons["schauder"] = f"B N zeta = {growth_ratio:.6g} >= 1"
+    if radii["krasnoselskii"] is None:
+        reasons["krasnoselskii"] = f"W = {W:.6g} >= 1"
+    # W < 1 makes T itself a contraction (K_con <= W), so the solution is
+    # also unique
+    kras = radii["krasnoselskii"] is not None and l_ok
 
     return HypothesisReport(
-        G=G, Omega=Omega, r=r, ell=ell, W=W, Lambda=Lambda, epsilon=epsilon,
-        K_con=K_con, schauder_applies=schauder, schaefer_applies=schaefer,
-        krasnoselskii_applies=kras, unique=kras,
+        B=B, G=G, Omega=Omega, r=Omega / (1.0 - G) if G < 1.0 else None,
+        ell=ell, W=W, Lambda=Lambda,
+        epsilon=Lambda / (1.0 - W) if W < 1.0 else None, K_con=K_con,
+        schauder_applies=radii["schauder"] is not None and n_ok and z_ok,
+        schaefer_applies=radii["schaefer"] is not None,
+        krasnoselskii_applies=kras, unique=kras, radii=radii,
         inputs_used=inputs, resolved=resolved, reasons=reasons)

@@ -45,6 +45,33 @@ def test_check_json_output(example_file, capsys):
     assert data["K_con"] == pytest.approx(ORACLE["K_con"], rel=1e-12)
 
 
+def test_check_prints_B_and_radii(example_file, capsys):
+    rc = cli.main(["check", example_file, "--nodes", "256"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_OK
+    assert "B = 2.30590464013" in out
+    assert "radius[schauder] = 3.03932439951" in out
+    assert "radius[krasnoselskii] = 3.03932439951" in out
+    assert "radius[schaefer] = 2.74541892479" in out
+
+
+def test_check_no_solution_problem(tmp_path, capsys):
+    # lambda b^alpha is a root of c + d E_alpha(x), so no solution exists
+    # (Furati, Kassim and Tatar 2012); the paper's G = 0.684 < 1 would
+    # certify Schauder
+    lam = -12.870472838786846
+    raw = {"alpha": 0.5, "beta": 1.0 / 3.0, "a": 0.0, "b": 0.001,
+           "c": -0.5, "d": 0.75, "e": 0.4, "f": f"{lam!r}*z",
+           "bounds": {"N": 1e-6, "zeta": abs(lam) / 1e-6, "L": abs(lam)}}
+    path = _write_problem(tmp_path, raw)
+    rc = cli.main(["check", path, "--nodes", "64"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_NO_THEOREM
+    assert "G = 0.68406" in out
+    assert "radius[schauder] = none" in out
+    assert "note[schauder] = B N zeta = 1.97182 >= 1" in out
+
+
 def test_check_untrusted_estimates_no_theorem(tmp_path, capsys):
     path = _write_problem(tmp_path, _no_bounds_problem())
     rc = cli.main(["check", path])
@@ -132,6 +159,8 @@ def test_solve_tol_and_max_iter_overrides(example_file, capsys):
     (lambda raw: raw.update(bounds={"L": -1.0}), "bounds.L"),
     (lambda raw: raw["solver"].update(divergence_factor=0), "divergence_factor"),
     (lambda raw: raw.update(a=-1e308, b=1e308), "b - a overflows"),
+    (lambda raw: raw.update(f="t^(-1/6) + 5*z",
+                            bounds={"eta": "t^(-1/6) + 5*z"}), "bounds.eta"),
     # nesting beyond exprlang.MAX_DEPTH, each kind once
     pytest.param(lambda raw: raw.update(f="(" * 300 + "t" + ")" * 300), "f:",
                  id="deep-parentheses"),

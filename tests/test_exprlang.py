@@ -30,6 +30,7 @@ from hilferbvp.exprlang import (
     evaluate,
     parse,
     to_string,
+    variables,
 )
 
 
@@ -256,6 +257,22 @@ def test_round_trip_preserves_values():
             evals += 1
         if evals:
             trees += 1
+
+
+@pytest.mark.parametrize("value", [-2.0, -0.0, math.inf, -math.inf, math.nan])
+def test_number_rejects_negative_and_non_finite(value):
+    # parse builds -2 as Unary("-", Number(2.0)), so a negative leaf could
+    # never round-trip through to_string
+    with pytest.raises(ValueError, match="Number"):
+        Number(value)
+
+
+@pytest.mark.parametrize("text,names", [
+    ("1 + 2", set()), ("sin(t)^2", {"t"}), ("-z", {"z"}),
+    ("t*exp(-z) / 3", {"t", "z"}),
+])
+def test_variables(text, names):
+    assert variables(parse(text)) == names
 
 
 def test_printer_parenthesizes_structure():

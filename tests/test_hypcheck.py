@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from hilferbvp.bvpsolve import Bounds, ProblemSpec
+from hilferbvp.bvpsolve import Bounds, ProblemSpec, solve_picard
 from hilferbvp.exprlang import parse
 from hilferbvp.hypcheck import (
     HypothesisReport,
     applicability_report,
+    compute_B,
     compute_G,
     compute_Lambda,
     compute_Omega,
@@ -19,7 +21,8 @@ from hilferbvp.hypcheck import (
     estimate_lipschitz,
     weighted_sup,
 )
-from hilferbvp.specfun import PoleError, gamma
+from hilferbvp.gridfn import Grid
+from hilferbvp.specfun import beta, gamma
 
 from conftest import ORACLE, EXAMPLE_ETA, example_problem
 
@@ -49,6 +52,25 @@ def test_derived_radius_and_epsilon(p_ex):
     w = compute_W(p_ex, L4)
     eps = compute_Lambda(p_ex, F0_NORM4) / (1.0 - w)
     assert eps == pytest.approx(ORACLE["epsilon"], rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha,beta_", [(0.5, 1.0 / 3.0), (0.1, 0.0),
+                                         (0.3, 0.7), (0.9, 0.5), (0.6, 0.95)])
+def test_B_matches_paper_bracket(alpha, beta_):
+    """B equals the paper's bracket, written with Beta functions, wherever
+    that form is defined (gamma < 1)."""
+    p = ProblemSpec(alpha=alpha, beta=beta_, a=0.5, b=2.0, c=-0.2, d=0.9,
+                    e=0.4, f=parse("0"))
+    g = p.gamma
+    bracket = (abs(p.resolvent) / gamma(g)
+               + beta(g - 1.0, alpha + 1.0) / gamma(g - 1.0))
+    want = (bracket * gamma(g - 1.0) * 1.5 ** alpha
+            / (beta(g - 1.0, 1.0) * gamma(alpha + 1.0)))
+    assert compute_B(p) == pytest.approx(want, rel=1e-13)
+    # K_con is B's first term times L
+    first = abs(p.resolvent) * 1.5 ** alpha / gamma(alpha + 1.0)
+    assert compute_contraction(p, 0.3) == pytest.approx(0.3 * first, rel=1e-15)
+    assert compute_W(p, 0.3) == pytest.approx(0.3 * compute_B(p), rel=1e-15)
 
 
 def test_G_self_consistency(p_ex):
@@ -153,31 +175,42 @@ def test_report_fallback_eta_for_z_independent_f():
 
 
 def test_report_gamma_one_pole():
+    # beta = 1 gives gamma = 1, where the paper's Beta-function form of W
+    # has a removable pole; B is finite there and certifies the route
     p = ProblemSpec(alpha=0.5, beta=1.0, a=0.0, b=1.0,
-                    c=1.0, d=1.0, e=2.0, f=parse("0"),
-                    bounds=Bounds(N_bound=0.0, zeta=0.0, L=0.0,
-                                  eta=parse("0")))
-    with pytest.raises(PoleError):
-        compute_W(p, 0.0)
+                    c=1.0, d=1.0, e=2.0, f=parse("0.25*sin(z)"),
+                    bounds=Bounds(N_bound=0.0, zeta=0.0, L=0.25))
     rep = applicability_report(p)
-    assert rep.W is None
-    assert rep.K_con is None
-    assert rep.epsilon is None
-    assert not rep.krasnoselskii_applies
-    assert not rep.unique
-    assert "gamma = 1" in rep.reasons["krasnoselskii"]
-    # growth route is unaffected by the pole
+    want_b = 0.5 / gamma(1.5) + 1.0 / gamma(1.5)
+    assert rep.B == pytest.approx(want_b, rel=1e-15)
+    assert rep.W == pytest.approx(0.25 * want_b, rel=1e-15)
+    assert rep.K_con == pytest.approx(0.125 / gamma(1.5), rel=1e-15)
+    assert rep.epsilon == pytest.approx(rep.Lambda / (1.0 - rep.W), rel=1e-15)
+    assert rep.krasnoselskii_applies
+    assert rep.unique
+    assert "krasnoselskii" not in rep.reasons
     assert rep.G == 0.0
     assert rep.schauder_applies
 
 
 def test_report_radius_clamped_for_negative_term(p_ex):
+    # a negative e-term makes the paper's Omega, r, Lambda, epsilon and ell
+    # negative; they are reported as they are, and the radii, built from
+    # |boundary_const|, still contain the solution (|w| = 74.5 on a fine mesh)
     p = ProblemSpec(alpha=p_ex.alpha, beta=p_ex.beta, a=p_ex.a, b=p_ex.b,
                     c=p_ex.c, d=p_ex.d, e=-100.0, f=p_ex.f, bounds=p_ex.bounds)
     rep = applicability_report(p)
     assert rep.Omega < 0.0
-    assert rep.r == 0.0
-    assert "clamped" in rep.reasons["r"]
+    assert rep.r == pytest.approx(rep.Omega / (1.0 - rep.G), rel=1e-15)
+    assert rep.r < 0.0 and rep.epsilon < 0.0 and rep.ell < 0.0
+    assert "r" not in rep.reasons
+    res = solve_picard(p, Grid(0.0, 1.0, 256, 2.0), tol=1e-10)
+    assert res.converged
+    w_norm = float(np.abs(res.solution.values).max())
+    assert w_norm == pytest.approx(74.5, abs=0.1)
+    assert set(rep.radii) == {"schauder", "krasnoselskii", "schaefer"}
+    for radius in rep.radii.values():
+        assert w_norm <= radius
 
 
 def test_report_json_round_trip(p_ex):
