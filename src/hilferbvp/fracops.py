@@ -11,14 +11,22 @@ weighted samples w_j = (s_j - a)^sigma g(s_j).  Panel rules:
     interpolant is done in closed form with two Beta values;
   * everything in between: Gauss-Legendre.
 
-The result is linear in the w vector, so every target node has an operator
-row, and one builder assembles the rows for any set of targets.  I^mu is the
-only whole matrix: each (grid, mu, sigma) gets one, cached and reused, so a
-fixed-point iteration costs one matrix-vector product per step.  A value
-needed only at t = b (rl_integral_end) comes from the last row alone, also
-cached.  Output weighting: sigma_out = max(sigma - mu, 0), and the stored
-node-0 value is the analytic limit w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) when
-sigma >= mu, else 0.
+The result is linear in the w vector: one builder, _block, gives any
+sub-block of the operator matrix from the rules above.  The Gauss-Jacobi
+rules come from numpy alone (Golub-Welsch).  Each (grid, mu, sigma) gets one
+operator, cached and reused, so a fixed-point iteration costs one
+matrix-vector product per step.  The operator is stored as a HODLR matrix
+(hierarchically off-diagonal low-rank): the node range is halved until a
+piece holds at most LEAF nodes, each diagonal leaf is stored dense, and each
+strictly-lower off-diagonal block as U @ V.T, built by adaptive cross
+approximation from a few sampled rows and columns and recompressed to
+ACA_TOL.  Blocks above the diagonal are zero, since the operator is a
+Volterra one.  Grids of at most LEAF nodes are one exact dense leaf; beyond
+that no (N+1)^2 array is formed, and the whole matrix exists only as the
+test oracle.  A value needed only at t = b (rl_integral_end) comes from the
+last row alone, also cached.  Output weighting: sigma_out =
+max(sigma - mu, 0), and the stored node-0 value is the analytic limit
+w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) when sigma >= mu, else 0.
 
 hilfer_derivative composes integral - derivative - integral,
 I^(beta(1-alpha)) D I^((1-beta)(1-alpha)), with second-order np.gradient
@@ -27,10 +35,10 @@ verification tool: the solver itself never differentiates.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .gridfn import Grid, WeightedGridFunction
 from .specfun import beta as beta_fn
@@ -44,6 +52,8 @@ __all__ = [
 
 N_GL = 6  # Gauss-Legendre points per interior panel
 N_GJ = 8  # Gauss-Jacobi points on the singular panels
+LEAF = 128       # largest diagonal block of the operator stored dense
+ACA_TOL = 1e-12  # relative accuracy of each low-rank off-diagonal block
 
 
 class OrderError(ValueError):
@@ -59,93 +69,184 @@ def hilfer_gamma(alpha: float, beta: float) -> float:
     return alpha + beta * (1.0 - alpha)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # cached and shared by every later caller
+    return a
+
+
+@lru_cache(maxsize=4)
 def _gauss_legendre01(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
 
+@lru_cache(maxsize=16)
 def _gauss_jacobi_right(n: int, mu: float):
-    """Nodes/weights for int_0^1 (1-v)^(mu-1) g(v) dv."""
-    y, lam = roots_jacobi(n, mu - 1.0, 0.0)
-    return (y + 1.0) / 2.0, lam * 2.0 ** (-mu)
+    """Nodes/weights for int_0^1 (1-v)^(mu-1) g(v) dv by Golub-Welsch: the
+    eigenvalues of the Jacobi matrix of (1-x)^(mu-1) on [-1, 1], mapped to
+    [0, 1], with weights 1/mu times the squared first eigenvector entries."""
+    a = mu - 1.0
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + a
+    diag = -a * np.append(1.0 / (a + 2.0), a / (s * (s + 2.0)))
+    off = 2.0 * k * (k + a) / (s * np.sqrt(s * s - 1.0))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return _frozen((x + 1.0) / 2.0), _frozen(vec[0] ** 2 / mu)
 
 
 def _gauss_jacobi_left(n: int, sigma: float):
-    """Nodes/weights for int_0^1 u^(-sigma) g(u) du."""
-    x, kap = roots_jacobi(n, 0.0, -sigma)
-    return (x + 1.0) / 2.0, kap * 2.0 ** (sigma - 1.0)
+    """Nodes/weights for int_0^1 u^(-sigma) g(u) du: the right rule for
+    mu = 1 - sigma, reflected."""
+    v, w = _gauss_jacobi_right(n, 1.0 - sigma)
+    return 1.0 - v, w
 
 
-def _rows(grid: Grid, mu: float, sigma: float,
-          targets: np.ndarray) -> np.ndarray:
-    """Operator rows for the node indices `targets`: row r takes
-    stored w values of g to the stored w value of I^mu g at node targets[r].
-    The 1/Gamma(mu) factor, the output weighting, the node-1 closed form and
-    the node-0 limit are applied."""
+def _block(grid: Grid, mu: float, sigma: float,
+           r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Entries [r0:r1, c0:c1] of the matrix taking stored w values of g to
+    stored w values of I^mu g.  The 1/Gamma(mu) factor, the output
+    weighting, the node-1 closed form and the node-0 limit are applied."""
     tau = grid.offsets()
     h = np.diff(tau)
-    M = np.zeros((len(targets), grid.n_nodes))
+    i = np.arange(r0, r1)
     first = 2 if sigma > 0.0 else 1   # targets below are set in closed form
     jmin = first - 1                  # panel 0 has its own rule if sigma > 0
-    reg = np.flatnonzero(targets >= first)
-    i_reg = targets[reg]
+    # panel p adds to its nodes p and p + 1; E[:, k] is node p0 + k
+    p0, p1 = max(c0 - 1, 0), min(c1, grid.n_panels)
+    E = np.zeros((r1 - r0, p1 - p0 + 1))
 
-    # ---- interior panels jmin..i-2, Gauss-Legendre, one target at a time
+    # ---- interior panels jmin..i-2, Gauss-Legendre
     x, w = _gauss_legendre01(N_GL)
-    s = tau[:-1, None] + h[:, None] * x[None, :]                   # (N, K)
-    base = w[None, :] * h[:, None] * s ** (-sigma)
-    hats = np.stack([1.0 - x, x], axis=1)   # left/right hat functions (K, 2)
-    for r, i in zip(reg, i_reg):
-        if i - 1 > jmin:
-            kern = tau[i] - s[jmin:i - 1]                          # (i-1, K)
-            np.power(kern, mu - 1.0, out=kern)
-            kern *= base[jmin:i - 1]
-            c = kern @ hats
-            M[r, jmin:i - 1] += c[:, 0]
-            M[r, jmin + 1:i] += c[:, 1]
+    p = np.arange(p0, p1)
+    s = tau[p] + h[p] * x[:, None]                                 # (K, P)
+    use = (p >= jmin) & (p <= i[:, None] - 2)                      # (R, P)
+    # |t_i - s| > 0 on every panel, so the unused entries stay finite
+    kern = np.abs(tau[i, None, None] - s)                          # (R, K, P)
+    np.power(kern, mu - 1.0, out=kern)
+    kern *= w[:, None] * h[p] * s ** (-sigma)
+    E[:, :-1] += ((1.0 - x) @ kern) * use
+    E[:, 1:] += (x @ kern) * use
 
     # ---- first panel under u^(-sigma), targets beyond it
-    if sigma > 0.0:
+    if sigma > 0.0 and p0 == 0:
         u, nu = _gauss_jacobi_left(N_GJ, sigma)
-        kern = (tau[i_reg][:, None] - h[0] * u[None, :]) ** (mu - 1.0)
+        r = i >= 2
+        kern = (tau[i[r], None] - h[0] * u) ** (mu - 1.0)
         scale = h[0] ** (1.0 - sigma)
-        M[reg, 0] += scale * (kern @ (nu * (1.0 - u)))
-        M[reg, 1] += scale * (kern @ (nu * u))
+        E[r, 0] += scale * (kern @ (nu * (1.0 - u)))
+        E[r, 1] += scale * (kern @ (nu * u))
 
-    # ---- target-adjacent panel under (1-v)^(mu-1)
+    # ---- target-adjacent panel i-1 under (1-v)^(mu-1)
     v, om = _gauss_jacobi_right(N_GJ, mu)
-    hj = h[i_reg - 1]
-    w8 = om * (tau[i_reg - 1][:, None] + hj[:, None] * v[None, :]) ** (-sigma)
+    r = (i >= first) & (i > p0) & (i <= p1)
+    ir = i[r]
+    hj = h[ir - 1]
+    w8 = om * (tau[ir - 1, None] + hj[:, None] * v) ** (-sigma)
     scale = hj ** mu
-    M[reg, i_reg - 1] += scale * (w8 @ (1.0 - v))
-    M[reg, i_reg] += scale * (w8 @ v)
+    E[r, ir - 1 - p0] += scale * (w8 @ (1.0 - v))
+    E[r, ir - p0] += scale * (w8 @ v)
 
-    if sigma > 0.0:
+    if sigma > 0.0 and p0 == 0 and r0 <= 1 < r1:
         # node-1 target: both singularities on one panel; linear interpolant
         # integrates in closed form
         hs = h[0] ** (mu - sigma)
         b1 = beta_fn(1.0 - sigma, mu)
         b2 = beta_fn(2.0 - sigma, mu)
-        M[targets == 1, :2] = hs * (b1 - b2), hs * b2
+        E[1 - r0, :2] = hs * (b1 - b2), hs * b2
 
     # output weighting and the 1/Gamma(mu) front factor
-    M *= (tau[targets] ** max(sigma - mu, 0.0) / gamma(mu))[:, None]
-    if sigma >= mu:
-        M[targets == 0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
-    M.setflags(write=False)  # cached and shared by every later caller
+    rho = tau[i] ** max(sigma - mu, 0.0) / gamma(mu)
+    M = E[:, c0 - p0:c1 - p0] * rho[:, None]
+    if sigma >= mu and r0 == 0 and c0 == 0:
+        M[0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
     return M
 
 
+def _lowrank(grid: Grid, mu: float, sigma: float,
+             r0: int, r1: int, c0: int, c1: int):
+    """Factors U, V with U @ V.T equal to _block(grid, mu, sigma, r0, r1,
+    c0, c1) within ACA_TOL relative, from partial-pivot adaptive cross
+    approximation (Bebendorf 2000) recompressed by QR and SVD.  Only the
+    sampled rows and columns of the block are ever built."""
+    us, vs = [], []
+    norm2 = 0.0
+    i, free = 0, np.ones(r1 - r0, dtype=bool)
+    while free.any():
+        free[i] = False
+        a = _block(grid, mu, sigma, r0 + i, r0 + i + 1, c0, c1)[0]
+        for u, v in zip(us, vs):
+            a -= u[i] * v
+        j = int(np.argmax(np.abs(a)))
+        if a[j] == 0.0:  # row i already reproduced exactly
+            break
+        v = a / a[j]
+        u = _block(grid, mu, sigma, r0, r1, c0 + j, c0 + j + 1)[:, 0]
+        for uk, vk in zip(us, vs):
+            u -= vk[j] * uk
+        step2 = (u @ u) * (v @ v)
+        norm2 += step2 + 2.0 * sum((u @ uk) * (v @ vk) for uk, vk in zip(us, vs))
+        us.append(u)
+        vs.append(v)
+        if step2 <= ACA_TOL ** 2 * norm2:
+            break
+        i = int(np.argmax(np.where(free, np.abs(u), -1.0)))
+    qu, ru = np.linalg.qr(np.array(us).T)
+    qv, rv = np.linalg.qr(np.array(vs).T)
+    w, s, zt = np.linalg.svd(ru @ rv.T)
+    r = int(np.count_nonzero(s > ACA_TOL * s[0]))
+    return _frozen(qu @ (w[:, :r] * s[:r])), _frozen(qv @ zt[:r].T)
+
+
+@dataclass(frozen=True, eq=False)
+class HODLR:
+    """Square Volterra matrix stored hierarchically: dense diagonal leaves
+    (lo, hi, D) cover every row, and each strictly-lower off-diagonal block
+    (r0, r1, c0, c1, U, V) is U @ V.T.  Blocks above the diagonal are zero."""
+
+    n: int
+    leaves: tuple
+    factors: tuple
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.empty(self.n)
+        for lo, hi, D in self.leaves:
+            y[lo:hi] = D @ x[lo:hi]
+        for r0, r1, c0, c1, U, V in self.factors:
+            y[r0:r1] += U @ (V.T @ x[c0:c1])
+        return y
+
+    @property
+    def nbytes(self) -> int:
+        return (sum(D.nbytes for *_, D in self.leaves)
+                + sum(U.nbytes + V.nbytes for *_, U, V in self.factors))
+
+
 @lru_cache(maxsize=8)
-def _operator(grid: Grid, mu: float, sigma: float) -> np.ndarray:
-    """Dense matrix taking stored w values of g to stored w values of I^mu g."""
-    return _rows(grid, mu, sigma, np.arange(grid.n_nodes))
+def _operator(grid: Grid, mu: float, sigma: float) -> HODLR:
+    """Matrix taking stored w values of g to stored w values of I^mu g, as
+    a HODLR: node ranges are halved until they hold at most LEAF nodes."""
+    leaves, factors = [], []
+
+    def split(lo: int, hi: int) -> None:
+        if hi - lo <= LEAF:
+            D = _block(grid, mu, sigma, lo, hi, lo, hi)
+            leaves.append((lo, hi, _frozen(D)))
+            return
+        mid = (lo + hi) // 2
+        U, V = _lowrank(grid, mu, sigma, mid, hi, lo, mid)
+        factors.append((mid, hi, lo, mid, U, V))
+        split(lo, mid)
+        split(mid, hi)
+
+    split(0, grid.n_nodes)
+    return HODLR(grid.n_nodes, tuple(leaves), tuple(factors))
 
 
 @lru_cache(maxsize=8)
 def _end_row(grid: Grid, mu: float, sigma: float) -> np.ndarray:
     """The last row of _operator, built alone."""
-    return _rows(grid, mu, sigma, np.array([grid.n_nodes - 1]))[0]
+    n = grid.n_nodes
+    return _frozen(_block(grid, mu, sigma, n - 1, n, 0, n))[0]
 
 
 def _check_order(mu: float) -> None:

@@ -124,10 +124,12 @@ def _t_samples(p: ProblemSpec, grid: Grid | None) -> np.ndarray:
 
 
 def weighted_sup(expr: Expr, p: ProblemSpec, grid: Grid | None = None) -> float:
-    """max over sample nodes of (t-a)^(1-gamma) |expr(t, 0)|."""
+    """max over sample nodes of (t-a)^(1-gamma) |expr(t, 0)|; inf when the
+    weighted product overflows."""
     ts = _t_samples(p, grid)
     v = np.abs(exprlang.evaluate(expr, ts, 0.0))
-    return float(((ts - p.a) ** p.sigma * v).max())
+    with np.errstate(over="ignore"):
+        return float(((ts - p.a) ** p.sigma * v).max())
 
 
 def estimate_lipschitz(f: Expr, p: ProblemSpec, grid: Grid | None = None) -> float:
@@ -139,12 +141,16 @@ def estimate_lipschitz(f: Expr, p: ProblemSpec, grid: Grid | None = None) -> flo
     ts = _t_samples(p, grid)
     zs = np.linspace(-Z_RANGE, Z_RANGE, Z_SAMPLES)
     tight = Z_RANGE * 1e-3
-    # pair endpoints: consecutive samples, then every fourth plus `tight`
-    z1 = np.concatenate([zs[:-1], zs[:-1:4]])
-    z2 = np.concatenate([zs[1:], zs[:-1:4] + tight])
-    v1 = exprlang.evaluate(f, ts[:, None], z1)
-    v2 = exprlang.evaluate(f, ts[:, None], z2)
-    return float((np.abs(v2 - v1) / (z2 - z1)).max())
+    # pairs: consecutive samples, then every fourth plus `tight`; f is
+    # evaluated once at each distinct z
+    z0 = zs[:-1:4]
+    zt = z0 + tight
+    v = exprlang.evaluate(f, ts[:, None], np.concatenate([zs, zt]))
+    slope = np.diff(v[:, :zs.size], axis=1)
+    np.abs(slope, out=slope)
+    slope /= np.diff(zs)
+    tight_slope = np.abs(v[:, zs.size:] - v[:, :zs.size - 1:4]) / (zt - z0)
+    return float(max(slope.max(), tight_slope.max()))
 
 
 def estimate_growth(f: Expr, p: ProblemSpec,
@@ -237,7 +243,14 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
         reasons["lipschitz"] = ("L is a sampled estimate; pass "
                                 "trust_estimates to certify it")
 
-    f0_norm = weighted_sup(p.f, p, grid)
+    def sup(name, expr):
+        value = weighted_sup(expr, p, grid)
+        if not np.isfinite(value):
+            raise OverflowError(f"weighted sup of {name} overflows on "
+                                f"[a, b] = [{p.a}, {p.b}]")
+        return value
+
+    f0_norm = sup("f", p.f)
     resolved["f0_norm"] = f0_norm
 
     def const(name, formula, *args):
@@ -258,7 +271,7 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
     eta_norm = None
     if bounds.eta is not None:
         inputs["eta"] = "user"
-        eta_norm = weighted_sup(bounds.eta, p, grid)
+        eta_norm = sup("bounds.eta", bounds.eta)
         reasons["ell"] = "literal-form bound"
     elif lips == 0.0 and l_ok:
         inputs["eta"] = "fallback-f0"

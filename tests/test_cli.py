@@ -2,6 +2,7 @@
 
 import copy
 import json
+import warnings
 
 import pytest
 
@@ -203,6 +204,27 @@ def test_check_overflowing_constant_exit(tmp_path, capsys):
     assert "evaluation failed:" in err
     assert "Omega" in err
     assert "[0.0, 1e+300]" in err
+
+
+@pytest.mark.parametrize("name", ["f", "bounds.eta"])
+def test_check_overflowing_weighted_sup_exit(tmp_path, capsys, name):
+    # (t-a)^(1-gamma) * 1e308 overflows once b - a > 1; the sup must not
+    # turn into an infinite norm that certifies Schaefer
+    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
+    raw["b"] = 10.0
+    if name == "f":
+        raw["f"] = "1e308"
+    else:
+        raw["bounds"]["eta"] = "1e308"
+    path = _write_problem(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["check", path, "--json", "--nodes", "64"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert captured.out == ""
+    assert captured.err == (f"evaluation failed: weighted sup of {name} "
+                            "overflows on [a, b] = [0.0, 10.0]\n")
 
 
 @pytest.mark.parametrize("field,value,what", [

@@ -1,10 +1,14 @@
 """Tests for the fractional integral and derivative operators."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hilferbvp.fracops import (
+    LEAF,
     OrderError,
+    _block,
     _end_row,
     _gauss_jacobi_left,
     _gauss_jacobi_right,
@@ -221,14 +225,23 @@ def test_operator_cache_reuse():
     assert _operator.cache_info().hits > hits_before
 
 
+def _arrays(op):
+    return ([D for *_, D in op.leaves]
+            + [a for *_, U, V in op.factors for a in (U, V)])
+
+
 def test_cached_operator_is_read_only():
+    g = Grid(0.0, 1.0, 300, 2.0)
+    op = _operator(g, 0.5, 1.0 / 3.0)
+    assert op.factors
+    for a in _arrays(op):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    fn = WeightedGridFunction(g, 1.0 / 3.0, np.linspace(1.0, 2.0, 301))
+    assert np.array_equal(rl_integral(0.5, fn).values, op @ fn.values)
     g = Grid(0.0, 1.0, 64, 2.0)
-    M = _operator(g, 0.5, 1.0 / 3.0)
-    assert not M.flags.writeable
-    with pytest.raises(ValueError):
-        M[1, 1] = 0.0
     fn = WeightedGridFunction(g, 1.0 / 3.0, np.ones(65))
-    assert np.array_equal(rl_integral(0.5, fn).values, M @ fn.values)
     row = _end_row(g, 0.5, 1.0 / 3.0)
     assert not row.flags.writeable
     with pytest.raises(ValueError):
@@ -327,6 +340,61 @@ def test_operator_matches_chunked_reference(q):
         for mu in (0.1, 0.5, 5.0 / 6.0, 1.0, 1.7, 2.0):
             for sigma in (0.0, 1.0 / 3.0, 0.7):
                 want = _ref_operator(g, mu, sigma)
-                got = _operator.__wrapped__(g, mu, sigma)
+                got = _block(g, mu, sigma, 0, n + 1, 0, n + 1)
                 scale = np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def _dense_matvec(grid, mu, sigma, x, chunk=64):
+    """The whole matrix times x, built in row chunks.  Each chunk stops at
+    its last row's column: the upper triangle of _block is zero, which
+    test_operator_matches_chunked_reference checks against _ref_operator."""
+    n = grid.n_nodes
+    return np.concatenate([
+        _block(grid, mu, sigma, r, min(r + chunk, n), 0, min(r + chunk, n))
+        @ x[:min(r + chunk, n)] for r in range(0, n, chunk)])
+
+
+ALPHA, SIGMA = 0.5, 1.0 / 3.0
+HODLR_ORDERS = [(0.1, 0.0), (0.5, 1.0 / 3.0), (5.0 / 6.0, 0.7), (1.0, 0.0),
+                (1.7, 1.0 / 3.0), (2.0, 0.0), (0.25, 0.5), (0.3, 0.3),
+                (SIGMA + ALPHA, SIGMA), (SIGMA, SIGMA)]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n", [128, 129, 513, 1000, 2048, 4096])
+def test_hodlr_matches_dense_oracle(n, q):
+    g = Grid(0.0, 1.0, n, q)
+    rng = np.random.default_rng(n)
+    for mu, sigma in HODLR_ORDERS:
+        op = _operator.__wrapped__(g, mu, sigma)
+        assert (n + 1 > LEAF) == bool(op.factors)
+        x = rng.normal(size=n + 1)
+        want = _dense_matvec(g, mu, sigma, x)
+        err = np.linalg.norm(op @ x - want) / np.linalg.norm(want)
+        assert err < 1e-10, (mu, sigma, err)
+
+
+def test_hodlr_storage_and_determinism():
+    n = 4096
+    g = Grid(0.0, 1.0, n, 2.0)
+    one = _operator.__wrapped__(g, 0.5, 1.0 / 3.0)
+    two = _operator.__wrapped__(g, 0.5, 1.0 / 3.0)
+    assert sum(a.nbytes for a in _arrays(one)) == one.nbytes
+    assert one.nbytes < 8 * (n + 1) ** 2 / 8
+    assert [leaf[:2] for leaf in one.leaves] == [leaf[:2] for leaf in two.leaves]
+    assert [f[:4] for f in one.factors] == [f[:4] for f in two.factors]
+    for a, b in zip(_arrays(one), _arrays(two), strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mu", [0.1, 1.0 / 3.0, 0.5, 5.0 / 6.0, 1.0, 1.7, 2.0])
+def test_gauss_jacobi_rules_exact_to_degree_15(mu):
+    """int_0^1 (1-v)^(mu-1) v^k dv = Gamma(k+1) Gamma(mu) / Gamma(k+1+mu);
+    the left rule is the same integral with u = 1 - v and sigma = 1 - mu."""
+    v, om = _gauss_jacobi_right(8, mu)
+    u, nu = _gauss_jacobi_left(8, 1.0 - mu) if mu <= 1.0 else (1.0 - v, om)
+    for k in range(16):
+        want = math.gamma(k + 1) * math.gamma(mu) / math.gamma(k + 1 + mu)
+        assert abs(om @ v**k - want) <= 1e-14 * want
+        assert abs(nu @ (1.0 - u)**k - want) <= 1e-14 * want
