@@ -33,6 +33,8 @@ __all__ = [
     "solve_picard",
 ]
 
+DIVERGENCE_FACTOR = 1.5  # three steps in a row each growing this much: diverged
+
 
 class DegenerateBoundary(ValueError):
     """Boundary coefficients make the resolvent constant 1/(d (1+c/d)) blow up."""
@@ -187,17 +189,14 @@ def boundary_functional(p: ProblemSpec, z: WeightedGridFunction) -> float:
     return left + p.d * right
 
 
-def check_settings(tol: float, max_iter: int, divergence_factor: float) -> None:
+def check_settings(tol: float, max_iter: int) -> None:
     """Raise ValueError unless the Picard controls of solve_picard are usable:
-    0 < tol < inf, an integer max_iter >= 1, 1 < divergence_factor < inf."""
+    0 < tol < inf and an integer max_iter >= 1."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
             or max_iter < 1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    if not 1.0 < divergence_factor < math.inf:
-        raise ValueError(
-            f"divergence_factor must be > 1 and finite, got {divergence_factor}")
 
 
 def _check_finite(z: WeightedGridFunction, iteration: int) -> None:
@@ -209,16 +208,15 @@ def _check_finite(z: WeightedGridFunction, iteration: int) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
 def solve_picard(p: ProblemSpec, grid: Grid, *, tol: float = 1e-10,
-                 max_iter: int = 200,
-                 divergence_factor: float = 1.5) -> SolveResult:
+                 max_iter: int = 200) -> SolveResult:
     """Picard iteration z <- T z from the boundary term.
 
     Stops on step norm <= tol (converged), on max_iter, or early when the
-    step norm grows by >= divergence_factor three times in a row (diverged).
+    step norm grows by >= DIVERGENCE_FACTOR three times in a row (diverged).
     Residuals are filled only for converged runs.  Raises OverflowError
     when an iterate, or its unweighted samples, stop being finite.
     """
-    check_settings(tol, max_iter, divergence_factor)
+    check_settings(tol, max_iter)
     z = boundary_term(p, grid)
     _check_finite(z, 0)
     steps: list[float] = []
@@ -229,7 +227,7 @@ def solve_picard(p: ProblemSpec, grid: Grid, *, tol: float = 1e-10,
         z_new = apply_T(p, z)
         _check_finite(z_new, iteration)
         step = float(np.abs(z_new.values - z.values).max())
-        if steps and step >= divergence_factor * steps[-1]:
+        if steps and step >= DIVERGENCE_FACTOR * steps[-1]:
             growth += 1
         else:
             growth = 0

@@ -32,8 +32,7 @@ an f singular at a (like the built-in example) has finite constants.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,18 +162,15 @@ def estimate_growth(f: Expr, p: ProblemSpec,
     """
     ts = _t_samples(p, grid)
     tau = ts - p.a
-
-    def m_of(rad: float) -> float:
-        zval = rad * tau ** (-p.sigma)
-        zz = np.stack([zval, -zval]) if rad else zval
-        v = np.abs(exprlang.evaluate(f, ts, zz))
-        return float((tau ** p.sigma * v).max())
-
-    m0 = m_of(0.0)
-    slope = 0.0
-    for rad in (0.0625, 0.25, 1.0, 4.0):
-        slope = max(slope, (m_of(rad) - m0) / rad)
-    slope = max(slope, 0.0)
+    ladder = np.array([0.0, 0.0625, 0.25, 1.0, 4.0])
+    zval = ladder[:, None] * tau ** (-p.sigma)
+    v = np.abs(exprlang.evaluate(f, ts, np.stack([zval, -zval])))
+    # an overflowing M(R) is left to applicability_report's sup of f;
+    # fmax skips the nan slope that inf - inf gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (tau ** p.sigma * v).max(axis=(0, 2))
+        slope = float(np.fmax.reduce((m[1:] - m[0]) / ladder[1:], initial=0.0))
+    m0 = float(m[0])
     if m0 == 0.0:
         return (slope, 1.0) if slope > 0.0 else (0.0, 0.0)
     return m0, slope / m0
@@ -201,9 +197,6 @@ class HypothesisReport:
     inputs_used: dict = field(default_factory=dict)
     resolved: dict = field(default_factory=dict)
     reasons: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
@@ -254,11 +247,15 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
     resolved["f0_norm"] = f0_norm
 
     def const(name, formula, *args):
+        # ** raises OverflowError; a product overflows to inf, or nan
         try:
-            return formula(p, *args)
-        except OverflowError as exc:
+            value = formula(p, *args)
+        except OverflowError:
+            value = np.inf
+        if not np.isfinite(value):
             raise OverflowError(
-                f"constant {name} overflows on [a, b] = [{p.a}, {p.b}]") from exc
+                f"constant {name} overflows on [a, b] = [{p.a}, {p.b}]")
+        return value
 
     B = const("B", compute_B)
     G = const("G", compute_G, n_bound, zeta)

@@ -198,13 +198,6 @@ def test_solve_picard_validation(p_ex, grid512):
         solve_picard(p_ex, grid512, max_iter=True)
 
 
-@pytest.mark.parametrize("factor", [0.0, 1.0, -2.0, math.nan])
-def test_solve_picard_divergence_factor_must_exceed_one(p_ex, factor):
-    grid = Grid(0.0, 1.0, 64, 2.0)
-    with pytest.raises(ValueError, match="divergence_factor"):
-        solve_picard(p_ex, grid, divergence_factor=factor)
-
-
 def test_solve_picard_needs_two_panels(p_ex):
     """Node 0 of the right-hand side is extrapolated from nodes 1 and 2."""
     with pytest.raises(ValueError, match="at least 2 panels"):

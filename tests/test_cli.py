@@ -32,7 +32,8 @@ def test_check_with_user_bounds(example_file, capsys):
     assert "schauder_applies = True" in out
     assert "krasnoselskii_applies = True" in out
     assert "G = " in out and "W = " in out and "K_con = " in out
-    assert "(user)" in out
+    assert "inputs_used[N_bound] = user" in out
+    assert "resolved[N_bound] = 1.0" in out
 
 
 def test_check_json_output(example_file, capsys):
@@ -51,9 +52,9 @@ def test_check_prints_B_and_radii(example_file, capsys):
     out = capsys.readouterr().out
     assert rc == cli.EXIT_OK
     assert "B = 2.30590464013" in out
-    assert "radius[schauder] = 3.03932439951" in out
-    assert "radius[krasnoselskii] = 3.03932439951" in out
-    assert "radius[schaefer] = 2.74541892479" in out
+    assert "radii[schauder] = 3.03932439951" in out
+    assert "radii[krasnoselskii] = 3.03932439951" in out
+    assert "radii[schaefer] = 2.74541892479" in out
 
 
 def test_check_no_solution_problem(tmp_path, capsys):
@@ -69,8 +70,8 @@ def test_check_no_solution_problem(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == cli.EXIT_NO_THEOREM
     assert "G = 0.68406" in out
-    assert "radius[schauder] = none" in out
-    assert "note[schauder] = B N zeta = 1.97182 >= 1" in out
+    assert "radii[schauder] = none" in out
+    assert "reasons[schauder] = B N zeta = 1.97182 >= 1" in out
 
 
 def test_check_untrusted_estimates_no_theorem(tmp_path, capsys):
@@ -79,7 +80,7 @@ def test_check_untrusted_estimates_no_theorem(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == cli.EXIT_NO_THEOREM
     assert "unique = False" in out
-    assert "(estimated)" in out
+    assert "inputs_used[N_bound] = estimated" in out
     assert "trust_estimates" in out
 
 
@@ -171,11 +172,34 @@ def test_solve_tol_and_max_iter_overrides(example_file, capsys):
                  id="deep-power"),
     pytest.param(lambda raw: raw.update(f="t+" * 5000 + "t"), "f:",
                  id="long-sum"),
+    # JSON shapes
+    pytest.param(lambda raw: raw.update(alpha="0.5"),
+                 "alpha: must be a number, got '0.5'", id="string-number"),
+    pytest.param(lambda raw: raw.update(e=True),
+                 "e: must be a number, got True", id="bool-number"),
+    pytest.param(lambda raw: raw.update(c=float("nan")),
+                 "c: must be finite, got nan", id="nan-number"),
+    pytest.param(lambda raw: raw.update(f=1.0),
+                 "f: must be an expression string, got 1.0", id="non-string-f"),
+    pytest.param(lambda raw: [raw], "problem file must be a JSON object",
+                 id="non-object-file"),
+    pytest.param(lambda raw: raw.update(bounds=[1.0]),
+                 "bounds: must be an object, got [1.0]", id="non-object-bounds"),
+    pytest.param(lambda raw: raw.update(solver=2048),
+                 "solver: must be an object, got 2048", id="non-object-solver"),
+    pytest.param(lambda raw: raw.update(bounds={"M": 1.0}),
+                 "bounds.M: unknown field", id="unknown-bounds-key"),
+    pytest.param(lambda raw: raw["solver"].update(threads=2),
+                 "solver.threads: unknown field", id="unknown-solver-key"),
+    pytest.param(lambda raw: raw["solver"].update(nodes=2048.5),
+                 "solver.nodes: must be an integer, got 2048.5",
+                 id="fractional-nodes"),
 ])
 def test_bad_problem_files(tmp_path, capsys, mangle, fragment):
     raw = _no_bounds_problem()
-    mangle(raw)
-    path = _write_problem(tmp_path, raw)
+    # a mangle edits the problem in place, or returns a whole new file body
+    body = mangle(raw)
+    path = _write_problem(tmp_path, body if isinstance(body, list) else raw)
     # a bad file is rejected by every subcommand that reads one
     for command in ("solve", "check"):
         rc = cli.main([command, path])
@@ -194,16 +218,25 @@ def test_solve_non_finite_tol_rejected(example_file, capsys, value):
 
 
 def test_check_overflowing_constant_exit(tmp_path, capsys):
-    # b - a = 1e300 overflows ba ** (...) in the Omega constant
-    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
-    raw["b"] = 1e300
-    path = _write_problem(tmp_path, raw)
-    rc = cli.main(["check", path, "--nodes", "64"])
-    err = capsys.readouterr().err
-    assert rc == cli.EXIT_NO_CONVERGENCE
-    assert "evaluation failed:" in err
-    assert "Omega" in err
-    assert "[0.0, 1e+300]" in err
+    # b - a = 1e300 overflows ba ** (...) in the Omega constant, which
+    # raises; a bound near the float limit overflows a product instead,
+    # silently: W = B L to inf, and G = (...) N zeta with zeta = 0 to nan
+    cases = [
+        ({"b": 1e300}, "Omega", "[0.0, 1e+300]"),
+        ({"bounds": {"N": 1.0, "zeta": 0.0625, "L": 1e308}}, "W", "[0.0, 1.0]"),
+        ({"bounds": {"N": 1e308, "zeta": 0, "L": 0.0625}}, "G", "[0.0, 1.0]"),
+    ]
+    for change, name, interval in cases:
+        raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
+        raw.update(change)
+        path = _write_problem(tmp_path, raw)
+        for extra in ([], ["--json"]):
+            rc = cli.main(["check", path, "--nodes", "64"] + extra)
+            captured = capsys.readouterr()
+            assert rc == cli.EXIT_NO_CONVERGENCE, name
+            assert captured.out == ""
+            assert captured.err == (f"evaluation failed: constant {name} "
+                                    f"overflows on [a, b] = {interval}\n")
 
 
 @pytest.mark.parametrize("name", ["f", "bounds.eta"])
@@ -225,6 +258,24 @@ def test_check_overflowing_weighted_sup_exit(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err == (f"evaluation failed: weighted sup of {name} "
                             "overflows on [a, b] = [0.0, 10.0]\n")
+
+
+def test_check_estimated_growth_overflow_exit(tmp_path, capsys):
+    # with no bounds, the growth estimate multiplies the weight into
+    # |f| = 1e308 first; it must leave the overflow to the sup of f
+    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
+    del raw["bounds"]
+    raw.update(b=10.0, f="1e308*(1+0*z)")
+    path = _write_problem(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["check", path, "--json", "--nodes", "64",
+                       "--trust-estimates"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert captured.out == ""
+    assert captured.err == ("evaluation failed: weighted sup of f overflows "
+                            "on [a, b] = [0.0, 10.0]\n")
 
 
 @pytest.mark.parametrize("field,value,what", [
@@ -291,16 +342,6 @@ def test_solve_one_panel_is_input_error(example_file, capsys):
     assert "at least 2 panels" in err
 
 
-def test_solve_divergence_factor_must_exceed_one(tmp_path, capsys):
-    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
-    raw["solver"]["divergence_factor"] = 0
-    path = _write_problem(tmp_path, raw)
-    rc = cli.main(["solve", path, "--nodes", "256"])
-    err = capsys.readouterr().err
-    assert rc == cli.EXIT_INPUT
-    assert "divergence_factor must be > 1" in err
-
-
 def test_identities_battery_passes(capsys):
     rc = cli.main(["identities"])
     out = capsys.readouterr().out
@@ -320,22 +361,13 @@ def test_identities_failure_exit(capsys, monkeypatch):
     assert "failed = 1 of 1" in out
 
 
-def test_identities_tol_scale_validation(capsys):
-    # nan would fail every identity and inf would pass every one
-    for value in ("0", "nan", "inf"):
-        rc = cli.main(["identities", "--tol-scale", value])
-        captured = capsys.readouterr()
-        assert rc == cli.EXIT_INPUT, value
-        assert "tol-scale" in captured.err and captured.out == ""
-
-
 def test_example_command(capsys):
     rc = cli.main(["example", "--nodes", "512"])
     out = capsys.readouterr().out
     assert rc == cli.EXIT_OK
-    assert "reference" in out
-    assert "unique = True" in out
-    assert "converged = True" in out
+    assert "reference[G] = 0.19" in out
+    assert "report[unique] = True" in out
+    assert "solve[converged] = True" in out
 
 
 def test_example_json(capsys):
@@ -351,4 +383,39 @@ def test_example_problem_is_valid():
     spec, solver = cli.problem_from_dict(cli.EXAMPLE_PROBLEM)
     assert spec.gamma == pytest.approx(2.0 / 3.0)
     assert solver["nodes"] == 2048
-    assert solver["divergence_factor"] == 1.5
+
+
+def _flat(payload, prefix=""):
+    for key, v in payload.items():
+        name = f"{prefix}[{key}]" if prefix else key
+        if isinstance(v, dict):
+            yield from _flat(v, name)
+        else:
+            yield f"{name} = " + ("none" if v is None else repr(v)
+                                   if isinstance(v, float) else str(v))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "EXAMPLE", "--nodes", "256"],
+    ["check", "NO_BOUNDS"],
+    ["solve", "EXAMPLE", "--nodes", "256"],
+    ["solve", "DIVERGING"],
+    ["example", "--nodes", "256"],
+], ids=["check", "check-no-bounds", "solve", "solve-diverged", "example"])
+def test_text_lines_are_json_leaves(tmp_path, capsys, argv):
+    # text and --json print one payload: each text line is one JSON leaf
+    diverging = _no_bounds_problem()
+    diverging["f"] = "100*z"
+    files = {"EXAMPLE": cli.EXAMPLE_PROBLEM, "NO_BOUNDS": _no_bounds_problem(),
+             "DIVERGING": diverging}
+    argv = [_write_problem(tmp_path, files[a]) if a in files else a
+            for a in argv]
+    rc_text = cli.main(argv)
+    text = capsys.readouterr().out.splitlines()
+    rc_json = cli.main(argv + ["--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc_text == rc_json
+    if argv[0] == "solve":
+        assert text[-1].startswith("# elapsed ")
+        text = text[:-1]
+    assert sorted(text) == sorted(_flat(data))

@@ -1,6 +1,7 @@
 """Tests for the hypothesis constants and the applicability report."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ def test_report_radius_clamped_for_negative_term(p_ex):
 
 def test_report_json_round_trip(p_ex):
     rep = applicability_report(p_ex)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(asdict(rep)))
     assert set(data) >= {"G", "Omega", "r", "ell", "W", "Lambda", "epsilon",
                          "K_con", "schauder_applies", "schaefer_applies",
                          "krasnoselskii_applies", "unique", "inputs_used",
