@@ -113,13 +113,16 @@ class SolveResult:
     boundary_residual: float = math.nan
 
     def to_dict(self) -> dict:
+        """The result as JSON-safe values: a non-finite residual is None."""
+        def finite(x):
+            return x if math.isfinite(x) else None
         return {
             "converged": self.converged,
             "diverged": self.diverged,
             "iterations": self.iterations,
             "step_norms": list(self.step_norms),
-            "volterra_residual": self.volterra_residual,
-            "boundary_residual": self.boundary_residual,
+            "volterra_residual": finite(self.volterra_residual),
+            "boundary_residual": finite(self.boundary_residual),
         }
 
 

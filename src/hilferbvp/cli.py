@@ -6,8 +6,9 @@
     hilfer example [--json]
 
 Exit codes: 0 success / a theorem applies; 1 input error (any ValueError);
-2 no theorem applies; 3 no convergence, f failed to evaluate, or a constant
-or the solution overflowed (any ArithmeticError); 4 an identity failed.
+2 no theorem applies; 3 no convergence, f failed to evaluate, or a constant,
+a radius or the solution overflowed (any ArithmeticError); 4 an identity
+failed.
 
 Range rules live with the code that uses each value (ProblemSpec, Bounds,
 Grid, bvpsolve.check_settings); problem_from_dict checks only JSON types.
@@ -20,6 +21,7 @@ lines are timing notes prefixed with '#'.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -305,6 +307,7 @@ def cmd_example(args) -> int:
 
 # --------------------------------------------------------------------- main
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="hilfer",
                  description="Weighted-space solver and hypothesis checker "

@@ -19,7 +19,10 @@ together, so one call covers a whole mesh or sample grid.  Evaluation is
 strict about domains: division by zero, ln of a non-positive number, sqrt
 of a negative number, a negative base under a non-integer exponent, 0 to a
 negative power, and any non-finite intermediate all raise EvalError, which
-names the first offending value.
+names the first offending value.  Each variable, operator and function
+value is checked once, for finiteness; with finite operands every domain
+violation gives a non-finite value, so the domain message is derived only
+then, from the rules above in that order.
 """
 from __future__ import annotations
 
@@ -222,47 +225,61 @@ def _check(bad, message: str, *values) -> None:
 
 
 def _eval(e: Expr, t, z):
+    # children come back finite, so a Number or a negation is finite too,
+    # and every domain violation below leaves a non-finite value: the
+    # domain rules are only consulted, in order, to word the error
     if isinstance(e, Number):
-        v = np.float64(e.value)
-    elif isinstance(e, Var):
+        return np.float64(e.value)
+    if isinstance(e, Unary):
+        return -_eval(e.operand, t, z)
+    if isinstance(e, Var):
         v = t if e.name == "t" else z
-    elif isinstance(e, Unary):
-        v = -_eval(e.operand, t, z)
+        if np.isfinite(v).all():
+            return v
     elif isinstance(e, Binary):
         a = _eval(e.left, t, z)
         b = _eval(e.right, t, z)
+        v = _OPERATORS[e.op](a, b)
+        if np.isfinite(v).all():
+            return v
         if e.op == "/":
             _check(b == 0.0, "division of {} by zero", a)
         elif e.op == "^":
             _check((a < 0.0) & (b != np.round(b)),
                    "negative base {} under non-integer exponent {}", a, b)
             _check((a == 0.0) & (b < 0.0), "0 raised to negative power {}", b)
-        v = _OPERATORS[e.op](a, b)
     elif isinstance(e, Call):
-        v = _eval(e.arg, t, z)
+        a = _eval(e.arg, t, z)
+        v = _FUNCTIONS[e.func](a)
+        if np.isfinite(v).all():
+            return v
         if e.func == "ln":
-            _check(v <= 0.0, "ln of non-positive value {}", v)
+            _check(a <= 0.0, "ln of non-positive value {}", a)
         elif e.func == "sqrt":
-            _check(v < 0.0, "sqrt of negative value {}", v)
-        v = _FUNCTIONS[e.func](v)
+            _check(a < 0.0, "sqrt of negative value {}", a)
     else:
         raise TypeError(f"not an expression node: {e!r}")
-    _check(~np.isfinite(v), "non-finite value {}", v)
-    return v
+    _check(~np.isfinite(v), "non-finite value {}", v)  # always raises here
 
 
 def evaluate(e: Expr, t, z):
     """Value of e at (t, z).
 
     t and z are floats or arrays that broadcast together; float inputs give
-    a float, anything else a new array of the broadcast shape.  Raises
-    EvalError if any point lies off the expression's domain.
+    a float, anything else an array of the broadcast shape that shares no
+    memory with t or z.  Raises EvalError if any point lies off the
+    expression's domain.
     """
     t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
     with np.errstate(all="ignore"):
         v = _eval(e, t, z)
     shape = np.broadcast_shapes(t.shape, z.shape)
-    return np.array(np.broadcast_to(v, shape)) if shape else float(v)
+    if not shape:
+        return float(v)
+    # every node but a bare variable returns a fresh ufunc result
+    if v is t or v is z or v.shape != shape:
+        return np.array(np.broadcast_to(v, shape))
+    return v
 
 
 # ------------------------------------------------------------ pretty-printer

@@ -207,8 +207,8 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
     holds) AND the constants feeding it are certified: supplied by the
     user, or estimated with trust_estimates = True.  Sampled sup norms of
     user-supplied expressions (f at z = 0, eta) count as certified.  A
-    constant whose formula overflows raises an OverflowError that names it
-    and [a, b].
+    constant or radius whose formula overflows raises an OverflowError
+    that names it and [a, b].
     """
     bounds = p.bounds or Bounds()
     inputs: dict[str, str] = {}
@@ -289,6 +289,10 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
         "krasnoselskii": (bc + B * f0_norm) / (1.0 - W) if W < 1.0 else None,
         "schaefer": None if eta_norm is None else bc + B * eta_norm,
     }
+    for name, radius in radii.items():
+        if radius is not None and not np.isfinite(radius):
+            raise OverflowError(
+                f"radius {name} overflows on [a, b] = [{p.a}, {p.b}]")
     if radii["schauder"] is None:
         reasons["schauder"] = f"B N zeta = {growth_ratio:.6g} >= 1"
     if radii["krasnoselskii"] is None:

@@ -138,6 +138,24 @@ def test_solve_nonconvergent_exit(tmp_path, capsys):
     assert "diverged = True" in out
 
 
+def test_solve_diverged_json_is_strict(tmp_path, capsys):
+    # the residuals of a failed solve are NaN; --json writes them as null
+    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
+    raw["f"] = "100*z"
+    path = _write_problem(tmp_path, raw)
+    rc = cli.main(["solve", path, "--json", "--nodes", "256"])
+    out = capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    data = json.loads(out, parse_constant=reject)
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert data["diverged"] is True
+    assert data["volterra_residual"] is None
+    assert data["boundary_residual"] is None
+
+
 def test_solve_tol_and_max_iter_overrides(example_file, capsys):
     rc = cli.main(["solve", example_file, "--nodes", "256",
                    "--max-iter", "2"])
@@ -278,6 +296,22 @@ def test_check_estimated_growth_overflow_exit(tmp_path, capsys):
                             "on [a, b] = [0.0, 10.0]\n")
 
 
+def test_check_overflowing_radius_exit(tmp_path, capsys):
+    # eta = 1e308 keeps eta_norm and ell finite on [0, 1], but B > 1 takes
+    # the Schaefer radius bc + B eta_norm to inf, which must not certify
+    raw = copy.deepcopy(cli.EXAMPLE_PROBLEM)
+    raw["bounds"]["eta"] = "1e308"
+    path = _write_problem(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["check", path, "--json", "--nodes", "64"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert captured.out == ""
+    assert captured.err == ("evaluation failed: radius schaefer overflows "
+                            "on [a, b] = [0.0, 1.0]\n")
+
+
 @pytest.mark.parametrize("field,value,what", [
     ("b", 1e300, "Picard iteration 1: the weighted iterate overflowed"),
     ("e", 1e308, "Picard iteration 0: its unweighted samples overflowed"),
@@ -377,6 +411,17 @@ def test_example_json(capsys):
     assert set(data) == {"report", "reference", "solve"}
     assert data["solve"]["converged"] is True
     assert data["report"]["unique"] is True
+
+
+def test_parser_keeps_no_state_between_calls(example_file, capsys):
+    # the parser is built once per process; other commands and options in
+    # between must not change what a later identical call prints
+    first = cli.main(["check", example_file]), capsys.readouterr().out
+    assert first[0] == cli.EXIT_OK
+    assert cli.main(["solve", example_file, "--nodes", "256"]) == cli.EXIT_OK
+    assert cli.main(["check", example_file, "--nodes", "64"]) == cli.EXIT_OK
+    assert capsys.readouterr().out != first[1]
+    assert (cli.main(["check", example_file]), capsys.readouterr().out) == first
 
 
 def test_example_problem_is_valid():

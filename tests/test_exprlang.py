@@ -4,7 +4,8 @@ Covers tokenizing, parsing, evaluation, error reporting, and the
 round-trip guarantee that printing and reparsing rebuilds the exact
 same tree.  Precedence is checked against Python's own parser, and the
 array evaluator against a scalar tree-walk kept here as the reference
-implementation.
+implementation, and against an array walk that checks every node's
+domain before its value.
 """
 
 import ast
@@ -202,8 +203,15 @@ def test_float_and_array_results():
     assert got[0, 0] == pytest.approx(one, rel=1e-14)
     # constant subtrees still fill the broadcast shape
     assert np.array_equal(evaluate(parse("2"), t, 0.0), [2.0, 2.0, 2.0])
-    # a bare variable returns a copy, never the caller's array
+    # a bare variable returns a copy, never the caller's array; no result
+    # shares memory with t or z, whether copied or fresh from a ufunc
     assert evaluate(parse("t"), t, 0.0) is not t
+    for text in ("t", "z", "2", "-t", "t + z"):
+        got = evaluate(parse(text), t, z)
+        assert got.flags.writeable, text
+        assert got.shape == (2, 3), text
+        assert not np.shares_memory(got, t), text
+        assert not np.shares_memory(got, z), text
 
 
 def test_eval_error_is_arithmetic_error():
@@ -490,3 +498,107 @@ def test_array_evaluate_matches_reference(tree, t, z):
     one = evaluate(tree, float(t[0]), float(z[0]))
     assert type(one) is float
     assert abs(one - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
+
+
+# ------------------------------------------------- check-every-node reference
+
+def _ref_check(bad, message, *values):
+    if np.any(bad):
+        bad, *values = np.broadcast_arrays(bad, *values)
+        i = np.argmax(bad)
+        raise EvalError(message.format(*(float(v.flat[i]) for v in values)))
+
+
+def _ref_eval(e, t, z):
+    """Array walk that tests each node's domain rules, in order, before its
+    value, then checks every value (numbers and negations too)."""
+    if isinstance(e, Number):
+        v = np.float64(e.value)
+    elif isinstance(e, Var):
+        v = t if e.name == "t" else z
+    elif isinstance(e, Unary):
+        v = -_ref_eval(e.operand, t, z)
+    elif isinstance(e, Binary):
+        a = _ref_eval(e.left, t, z)
+        b = _ref_eval(e.right, t, z)
+        if e.op == "/":
+            _ref_check(b == 0.0, "division of {} by zero", a)
+        elif e.op == "^":
+            _ref_check((a < 0.0) & (b != np.round(b)),
+                       "negative base {} under non-integer exponent {}", a, b)
+            _ref_check((a == 0.0) & (b < 0.0), "0 raised to negative power {}", b)
+        v = {"+": np.add, "-": np.subtract, "*": np.multiply,
+             "/": np.divide, "^": np.power}[e.op](a, b)
+    else:
+        v = _ref_eval(e.arg, t, z)
+        if e.func == "ln":
+            _ref_check(v <= 0.0, "ln of non-positive value {}", v)
+        elif e.func == "sqrt":
+            _ref_check(v < 0.0, "sqrt of negative value {}", v)
+        v = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
+             "abs": np.abs, "sqrt": np.sqrt}[e.func](v)
+    _ref_check(~np.isfinite(v), "non-finite value {}", v)
+    return v
+
+
+def _ref_evaluate(e, t, z):
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+    with np.errstate(all="ignore"):
+        v = _ref_eval(e, t, z)
+    shape = np.broadcast_shapes(t.shape, z.shape)
+    return np.array(np.broadcast_to(v, shape)) if shape else float(v)
+
+
+def _outcome(fn, *args):
+    """(shape, value bytes) of a result, or the EvalError message."""
+    try:
+        v = np.asarray(fn(*args))
+    except EvalError as exc:
+        return str(exc)
+    return v.shape, v.tobytes()
+
+
+_EDGE_TREES = st.recursive(
+    st.one_of(st.sampled_from([0.0, 0.5, 3.0, 1e300]).map(Number),
+              st.sampled_from([Var("t"), Var("z")])),
+    lambda sub: st.one_of(
+        sub.map(lambda a: Unary("-", a)),
+        st.builds(Binary, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "ln", "sqrt", "abs"]),
+                  sub)),
+    max_leaves=10)
+_EDGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -2.5, 0.5, 2.0]),
+                         st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(tree=_EDGE_TREES,
+       t=arrays(np.float64, 6, elements=_EDGE_VALUES),
+       z=arrays(np.float64, 6, elements=_EDGE_VALUES))
+def test_evaluate_matches_check_every_node_reference(tree, t, z):
+    """Checking each value once, and wording a domain error only when a value
+    is non-finite, gives the same bits or the same message as checking
+    every node's domain and value."""
+    assert _outcome(evaluate, tree, t, z) == _outcome(_ref_evaluate, tree, t, z)
+    assert (_outcome(evaluate, tree, t, z[:, None])
+            == _outcome(_ref_evaluate, tree, t, z[:, None]))
+    t0, z0 = float(t[0]), float(z[0])
+    assert _outcome(evaluate, tree, t0, z0) == _outcome(_ref_evaluate, tree, t0, z0)
+
+
+@pytest.mark.parametrize("text,t,z,message", [
+    # two rules broken at different points: the first rule in order names
+    # its point, wherever the other one lies
+    ("t^z", [0.0, -1.0], [-1.0, 0.5],
+     "negative base -1.0 under non-integer exponent 0.5"),
+    ("t/z", [math.inf, 1.0], [1.0, 0.0], "non-finite value inf"),
+    ("1/z + ln(t)", [1.0, -1.0], [0.0, 1.0], "division of 1.0 by zero"),
+    ("z", [1.0, 1.0], [1.0, math.nan], "non-finite value nan"),
+    ("sin(t)", [2.0, -math.inf], 0.0, "non-finite value -inf"),
+])
+def test_domain_message_order(text, t, z, message):
+    t, z = np.array(t), np.array(z)
+    assert _outcome(_ref_evaluate, parse(text), t, z) == message
+    with pytest.raises(EvalError) as exc:
+        evaluate(parse(text), t, z)
+    assert str(exc.value) == message
