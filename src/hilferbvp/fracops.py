@@ -20,7 +20,10 @@ matrix-vector product per step.  The operator is stored as a HODLR matrix
 piece holds at most LEAF nodes, each diagonal leaf is stored dense, and each
 strictly-lower off-diagonal block as U @ V.T, built by adaptive cross
 approximation from a few sampled rows and columns and recompressed to
-ACA_TOL.  Blocks above the diagonal are zero, since the operator is a
+ACA_TOL.  The accepted crosses are the rows of two arrays, so each ACA
+residual update is one BLAS product, and each build makes one quadrature
+table (offsets, panel points and weights, output weighting) that all its
+samples read.  Blocks above the diagonal are zero, since the operator is a
 Volterra one.  Grids of at most LEAF nodes are one exact dense leaf; beyond
 that no (N+1)^2 array is formed, and the whole matrix exists only as the
 test oracle.  A value needed only at t = b (rl_integral_end) comes from the
@@ -35,6 +38,7 @@ verification tool: the solver itself never differentiates.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,13 +105,32 @@ def _gauss_jacobi_left(n: int, sigma: float):
     return 1.0 - v, w
 
 
+# Shared by every sample of one build: offsets tau, panel widths h, panel
+# Gauss-Legendre points s (N_GL, panels), weights ws = w h s^(-sigma), rho
+_Table = namedtuple("_Table", "grid mu sigma tau h s ws rho")
+
+
+def _table(grid: Grid, mu: float, sigma: float) -> _Table:
+    tau = grid.offsets()
+    h = np.diff(tau)
+    x, w = _gauss_legendre01(N_GL)
+    s = tau[:-1] + h * x[:, None]
+    ws = w[:, None] * h * s ** (-sigma)
+    rho = tau ** max(sigma - mu, 0.0) / gamma(mu)
+    return _Table(grid, mu, sigma, tau, h, s, ws, rho)
+
+
 def _block(grid: Grid, mu: float, sigma: float,
            r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     """Entries [r0:r1, c0:c1] of the matrix taking stored w values of g to
     stored w values of I^mu g.  The 1/Gamma(mu) factor, the output
     weighting, the node-1 closed form and the node-0 limit are applied."""
-    tau = grid.offsets()
-    h = np.diff(tau)
+    return _sample(_table(grid, mu, sigma), r0, r1, c0, c1)
+
+
+def _sample(tab: _Table, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """_block from a prebuilt quadrature table."""
+    grid, mu, sigma, tau, h, s, ws, rho = tab
     i = np.arange(r0, r1)
     first = 2 if sigma > 0.0 else 1   # targets below are set in closed form
     jmin = first - 1                  # panel 0 has its own rule if sigma > 0
@@ -116,35 +139,35 @@ def _block(grid: Grid, mu: float, sigma: float,
     E = np.zeros((r1 - r0, p1 - p0 + 1))
 
     # ---- interior panels jmin..i-2, Gauss-Legendre
-    x, w = _gauss_legendre01(N_GL)
+    x, _ = _gauss_legendre01(N_GL)
     p = np.arange(p0, p1)
-    s = tau[p] + h[p] * x[:, None]                                 # (K, P)
     use = (p >= jmin) & (p <= i[:, None] - 2)                      # (R, P)
     # |t_i - s| > 0 on every panel, so the unused entries stay finite
-    kern = np.abs(tau[i, None, None] - s)                          # (R, K, P)
+    kern = np.abs(tau[r0:r1, None, None] - s[:, p0:p1])            # (R, K, P)
     np.power(kern, mu - 1.0, out=kern)
-    kern *= w[:, None] * h[p] * s ** (-sigma)
+    kern *= ws[:, p0:p1]
     E[:, :-1] += ((1.0 - x) @ kern) * use
     E[:, 1:] += (x @ kern) * use
 
     # ---- first panel under u^(-sigma), targets beyond it
     if sigma > 0.0 and p0 == 0:
+        lo = max(r0, 2)
         u, nu = _gauss_jacobi_left(N_GJ, sigma)
-        r = i >= 2
-        kern = (tau[i[r], None] - h[0] * u) ** (mu - 1.0)
+        kern = (tau[lo:r1, None] - h[0] * u) ** (mu - 1.0)
         scale = h[0] ** (1.0 - sigma)
-        E[r, 0] += scale * (kern @ (nu * (1.0 - u)))
-        E[r, 1] += scale * (kern @ (nu * u))
+        E[lo - r0:, 0] += scale * (kern @ (nu * (1.0 - u)))
+        E[lo - r0:, 1] += scale * (kern @ (nu * u))
 
-    # ---- target-adjacent panel i-1 under (1-v)^(mu-1)
-    v, om = _gauss_jacobi_right(N_GJ, mu)
-    r = (i >= first) & (i > p0) & (i <= p1)
-    ir = i[r]
-    hj = h[ir - 1]
-    w8 = om * (tau[ir - 1, None] + hj[:, None] * v) ** (-sigma)
-    scale = hj ** mu
-    E[r, ir - 1 - p0] += scale * (w8 @ (1.0 - v))
-    E[r, ir - p0] += scale * (w8 @ v)
+    # ---- target-adjacent panel i-1 under (1-v)^(mu-1): rows p0+1..p1 only
+    lo, hi = max(r0, first, p0 + 1), min(r1, p1 + 1)
+    if lo < hi:
+        v, om = _gauss_jacobi_right(N_GJ, mu)
+        ir = np.arange(lo, hi)
+        hj = h[ir - 1]
+        w8 = om * (tau[ir - 1, None] + hj[:, None] * v) ** (-sigma)
+        scale = hj ** mu
+        E[ir - r0, ir - 1 - p0] += scale * (w8 @ (1.0 - v))
+        E[ir - r0, ir - p0] += scale * (w8 @ v)
 
     if sigma > 0.0 and p0 == 0 and r0 <= 1 < r1:
         # node-1 target: both singularities on one panel; linear interpolant
@@ -155,43 +178,41 @@ def _block(grid: Grid, mu: float, sigma: float,
         E[1 - r0, :2] = hs * (b1 - b2), hs * b2
 
     # output weighting and the 1/Gamma(mu) front factor
-    rho = tau[i] ** max(sigma - mu, 0.0) / gamma(mu)
-    M = E[:, c0 - p0:c1 - p0] * rho[:, None]
+    M = E[:, c0 - p0:c1 - p0] * rho[r0:r1, None]
     if sigma >= mu and r0 == 0 and c0 == 0:
         M[0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
     return M
 
 
-def _lowrank(grid: Grid, mu: float, sigma: float,
-             r0: int, r1: int, c0: int, c1: int):
+def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
     """Factors U, V with U @ V.T equal to _block(grid, mu, sigma, r0, r1,
     c0, c1) within ACA_TOL relative, from partial-pivot adaptive cross
     approximation (Bebendorf 2000) recompressed by QR and SVD.  Only the
-    sampled rows and columns of the block are ever built."""
-    us, vs = [], []
-    norm2 = 0.0
+    sampled rows and columns are built; the crosses are rows of U and V."""
+    U, V = np.empty((8, r1 - r0)), np.empty((8, c1 - c0))
+    k, norm2 = 0, 0.0
     i, free = 0, np.ones(r1 - r0, dtype=bool)
     while free.any():
         free[i] = False
-        a = _block(grid, mu, sigma, r0 + i, r0 + i + 1, c0, c1)[0]
-        for u, v in zip(us, vs):
-            a -= u[i] * v
+        a = _sample(tab, r0 + i, r0 + i + 1, c0, c1)[0]
+        a -= U[:k, i] @ V[:k]
         j = int(np.argmax(np.abs(a)))
         if a[j] == 0.0:  # row i already reproduced exactly
             break
         v = a / a[j]
-        u = _block(grid, mu, sigma, r0, r1, c0 + j, c0 + j + 1)[:, 0]
-        for uk, vk in zip(us, vs):
-            u -= vk[j] * uk
+        u = _sample(tab, r0, r1, c0 + j, c0 + j + 1)[:, 0]
+        u -= V[:k, j] @ U[:k]
         step2 = (u @ u) * (v @ v)
-        norm2 += step2 + 2.0 * sum((u @ uk) * (v @ vk) for uk, vk in zip(us, vs))
-        us.append(u)
-        vs.append(v)
+        norm2 += step2 + 2.0 * ((U[:k] @ u) @ (V[:k] @ v))
+        if k == len(U):
+            U, V = (np.concatenate([X, np.empty_like(X)]) for X in (U, V))
+        U[k], V[k] = u, v
+        k += 1
         if step2 <= ACA_TOL ** 2 * norm2:
             break
         i = int(np.argmax(np.where(free, np.abs(u), -1.0)))
-    qu, ru = np.linalg.qr(np.array(us).T)
-    qv, rv = np.linalg.qr(np.array(vs).T)
+    qu, ru = np.linalg.qr(U[:k].T)
+    qv, rv = np.linalg.qr(V[:k].T)
     w, s, zt = np.linalg.svd(ru @ rv.T)
     r = int(np.count_nonzero(s > ACA_TOL * s[0]))
     return _frozen(qu @ (w[:, :r] * s[:r])), _frozen(qv @ zt[:r].T)
@@ -225,20 +246,17 @@ class HODLR:
 def _operator(grid: Grid, mu: float, sigma: float) -> HODLR:
     """Matrix taking stored w values of g to stored w values of I^mu g, as
     a HODLR: node ranges are halved until they hold at most LEAF nodes."""
+    tab = _table(grid, mu, sigma)  # freed on return: no closure holds it
     leaves, factors = [], []
-
-    def split(lo: int, hi: int) -> None:
+    todo = [(0, grid.n_nodes)]     # depth first, lower half first
+    while todo:
+        lo, hi = todo.pop()
         if hi - lo <= LEAF:
-            D = _block(grid, mu, sigma, lo, hi, lo, hi)
-            leaves.append((lo, hi, _frozen(D)))
-            return
+            leaves.append((lo, hi, _frozen(_sample(tab, lo, hi, lo, hi))))
+            continue
         mid = (lo + hi) // 2
-        U, V = _lowrank(grid, mu, sigma, mid, hi, lo, mid)
-        factors.append((mid, hi, lo, mid, U, V))
-        split(lo, mid)
-        split(mid, hi)
-
-    split(0, grid.n_nodes)
+        factors.append((mid, hi, lo, mid, *_lowrank(tab, mid, hi, lo, mid)))
+        todo += [(mid, hi), (lo, mid)]
     return HODLR(grid.n_nodes, tuple(leaves), tuple(factors))
 
 

@@ -375,6 +375,23 @@ def test_hodlr_matches_dense_oracle(n, q):
         assert err < 1e-10, (mu, sigma, err)
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n", [129, 1000])
+def test_lowrank_factors_match_block(n, q):
+    """Each ACA factor pair against its block in the Frobenius norm, 10x
+    ACA_TOL: a tighter check than the 1e-10 matvec oracle.  The dense
+    leaves are the standalone _block bit for bit."""
+    g = Grid(0.0, 1.0, n, q)
+    for mu, sigma in HODLR_ORDERS:
+        op = _operator.__wrapped__(g, mu, sigma)
+        for r0, r1, c0, c1, U, V in op.factors:
+            want = _block(g, mu, sigma, r0, r1, c0, c1)
+            err = np.linalg.norm(U @ V.T - want)
+            assert err <= 1e-11 * np.linalg.norm(want), (mu, sigma, r0, c0)
+        for lo, hi, D in op.leaves:
+            assert np.array_equal(D, _block(g, mu, sigma, lo, hi, lo, hi))
+
+
 def test_hodlr_storage_and_determinism():
     n = 4096
     g = Grid(0.0, 1.0, n, 2.0)
