@@ -12,24 +12,24 @@ weighted samples w_j = (s_j - a)^sigma g(s_j).  Panel rules:
   * everything in between: Gauss-Legendre.
 
 The result is linear in the w vector: one builder, _block, gives any
-sub-block of the operator matrix from the rules above.  The Gauss-Jacobi
-rules come from numpy alone (Golub-Welsch).  Each (grid, mu, sigma) gets one
+sub-block of the operator matrix from the rules above.  All the Gauss rules
+come from one Golub-Welsch in numpy.  Each (grid, mu, sigma) gets one
 operator, cached and reused, so a fixed-point iteration costs one
 matrix-vector product per step.  The operator is stored as a HODLR matrix
-(hierarchically off-diagonal low-rank): the node range is halved until a
-piece holds at most LEAF nodes, each diagonal leaf is stored dense, and each
-strictly-lower off-diagonal block as U @ V.T, built by adaptive cross
-approximation from a few sampled rows and columns and recompressed to
-ACA_TOL.  The accepted crosses are the rows of two arrays, so each ACA
-residual update is one BLAS product, and each build makes one quadrature
-table (offsets, panel points and weights, output weighting) that all its
-samples read.  Blocks above the diagonal are zero, since the operator is a
-Volterra one.  Grids of at most LEAF nodes are one exact dense leaf; beyond
-that no (N+1)^2 array is formed, and the whole matrix exists only as the
-test oracle.  A value needed only at t = b (rl_integral_end) comes from the
-last row alone, also cached.  Output weighting: sigma_out =
-max(sigma - mu, 0), and the stored node-0 value is the analytic limit
-w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) when sigma >= mu, else 0.
+(hierarchically off-diagonal low-rank).  A grid of at most LEAF nodes is one
+exact dense leaf; a larger one is halved until each piece holds at most
+LEAF // 2 nodes, each diagonal leaf is stored dense, and each strictly-lower
+off-diagonal block as U @ V.T truncated to ACA_TOL.  A block next to a leaf
+is sampled whole and truncated by SVD; a larger one is built by adaptive
+cross approximation from a few sampled rows and columns.  The accepted
+crosses are the rows of two arrays, so each ACA residual update is one BLAS
+product, and each build makes one quadrature table (offsets, panel points
+and weights, output weighting) that all its samples read.  Blocks above the
+diagonal are zero, since the operator is a Volterra one.  Beyond one leaf no
+(N+1)^2 array is formed; the whole matrix exists only as the test oracle.
+A value needed only at t = b (rl_integral_end) comes from the last row
+alone, also cached.  Output weighting: sigma_out = max(sigma - mu, 0); the
+node-0 value is w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) if sigma >= mu, else 0.
 
 hilfer_derivative composes integral - derivative - integral,
 I^(beta(1-alpha)) D I^((1-beta)(1-alpha)), with second-order np.gradient
@@ -78,12 +78,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=4)
-def _gauss_legendre01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
-
-
 @lru_cache(maxsize=16)
 def _gauss_jacobi_right(n: int, mu: float):
     """Nodes/weights for int_0^1 (1-v)^(mu-1) g(v) dv by Golub-Welsch: the
@@ -96,6 +90,11 @@ def _gauss_jacobi_right(n: int, mu: float):
     off = 2.0 * k * (k + a) / (s * np.sqrt(s * s - 1.0))
     x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return _frozen((x + 1.0) / 2.0), _frozen(vec[0] ** 2 / mu)
+
+
+def _gauss_legendre01(n: int):
+    """Nodes/weights for int_0^1 g(v) dv: the right rule for mu = 1."""
+    return _gauss_jacobi_right(n, 1.0)
 
 
 def _gauss_jacobi_left(n: int, sigma: float):
@@ -184,11 +183,24 @@ def _sample(tab: _Table, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     return M
 
 
+def _truncated_svd(M: np.ndarray):
+    """U, V with U @ V.T = M less its singular values <= ACA_TOL s[0]."""
+    w, s, zt = np.linalg.svd(M, full_matrices=False)
+    r = int(np.count_nonzero(s > ACA_TOL * s[0]))
+    return w[:, :r] * s[:r], zt[:r].T.copy()  # a view would keep all of zt
+
+
 def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
     """Factors U, V with U @ V.T equal to _block(grid, mu, sigma, r0, r1,
-    c0, c1) within ACA_TOL relative, from partial-pivot adaptive cross
-    approximation (Bebendorf 2000) recompressed by QR and SVD.  Only the
-    sampled rows and columns are built; the crosses are rows of U and V."""
+    c0, c1) within ACA_TOL relative.  A block with a side of at most
+    LEAF // 2 (in _operator, one next to a leaf) is sampled whole and
+    truncated by SVD, which there costs less than ACA's ~2r single rows and
+    columns (at 128 x 128 the SVD alone costs more).  A larger block comes
+    from partial-pivot adaptive cross approximation (Bebendorf 2000),
+    recompressed by QR and SVD; the crosses are rows of U and V."""
+    if min(r1 - r0, c1 - c0) <= LEAF // 2:
+        U, V = _truncated_svd(_sample(tab, r0, r1, c0, c1))
+        return _frozen(U), _frozen(V)
     U, V = np.empty((8, r1 - r0)), np.empty((8, c1 - c0))
     k, norm2 = 0, 0.0
     i, free = 0, np.ones(r1 - r0, dtype=bool)
@@ -213,9 +225,8 @@ def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
         i = int(np.argmax(np.where(free, np.abs(u), -1.0)))
     qu, ru = np.linalg.qr(U[:k].T)
     qv, rv = np.linalg.qr(V[:k].T)
-    w, s, zt = np.linalg.svd(ru @ rv.T)
-    r = int(np.count_nonzero(s > ACA_TOL * s[0]))
-    return _frozen(qu @ (w[:, :r] * s[:r])), _frozen(qv @ zt[:r].T)
+    cu, cv = _truncated_svd(ru @ rv.T)
+    return _frozen(qu @ cu), _frozen(qv @ cv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,13 +256,16 @@ class HODLR:
 @lru_cache(maxsize=8)
 def _operator(grid: Grid, mu: float, sigma: float) -> HODLR:
     """Matrix taking stored w values of g to stored w values of I^mu g, as
-    a HODLR: node ranges are halved until they hold at most LEAF nodes."""
+    a HODLR: a grid of at most LEAF nodes is one dense leaf, and a larger
+    one is halved until each piece holds at most LEAF // 2 nodes (half of a
+    dense leaf is its zero upper triangle)."""
     tab = _table(grid, mu, sigma)  # freed on return: no closure holds it
+    leaf = LEAF if grid.n_nodes <= LEAF else LEAF // 2
     leaves, factors = [], []
     todo = [(0, grid.n_nodes)]     # depth first, lower half first
     while todo:
         lo, hi = todo.pop()
-        if hi - lo <= LEAF:
+        if hi - lo <= leaf:
             leaves.append((lo, hi, _frozen(_sample(tab, lo, hi, lo, hi))))
             continue
         mid = (lo + hi) // 2

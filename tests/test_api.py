@@ -29,3 +29,18 @@ def test_import_needs_no_scipy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert out.stdout == "False\n"
+
+
+def test_solve_loads_no_numpy_polynomial():
+    """The Gauss-Legendre rule comes from the same Golub-Welsch as the
+    Gauss-Jacobi ones, so an integral never imports numpy.polynomial."""
+    code = ("import sys, numpy as np; "
+            "from hilferbvp.fracops import rl_integral; "
+            "from hilferbvp.gridfn import Grid, WeightedGridFunction; "
+            "g = WeightedGridFunction(Grid(0.0, 1.0, 256, 2.0), 1 / 3, "
+            "np.ones(257)); rl_integral(0.5, g); "
+            "print('numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.stdout == "False\n"

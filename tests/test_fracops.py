@@ -405,6 +405,19 @@ def test_hodlr_storage_and_determinism():
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
+def test_hodlr_leaf_sizes():
+    """A grid of at most LEAF nodes is one exact leaf; a larger one is cut
+    into leaves of at most LEAF // 2 nodes, which keeps the N = 4096
+    operator under 5.7 MiB (LEAF-node leaves take 6.95 MiB)."""
+    for n in (1, 64, 127):
+        op = _operator.__wrapped__(Grid(0.0, 1.0, n, 2.0), 0.5, 1.0 / 3.0)
+        assert [leaf[:2] for leaf in op.leaves] == [(0, n + 1)]
+    for n in (128, 129, 1000, 4096):
+        op = _operator.__wrapped__(Grid(0.0, 1.0, n, 2.0), 0.5, 1.0 / 3.0)
+        assert max(hi - lo for lo, hi, _ in op.leaves) <= LEAF // 2
+    assert op.nbytes <= 5.7 * 2**20
+
+
 @pytest.mark.parametrize("mu", [0.1, 1.0 / 3.0, 0.5, 5.0 / 6.0, 1.0, 1.7, 2.0])
 def test_gauss_jacobi_rules_exact_to_degree_15(mu):
     """int_0^1 (1-v)^(mu-1) v^k dv = Gamma(k+1) Gamma(mu) / Gamma(k+1+mu);
