@@ -75,6 +75,9 @@ class ProblemSpec:
 
     def __post_init__(self):
         hilfer_gamma(self.alpha, self.beta)  # validates orders
+        for name, v in zip("abcde", (self.a, self.b, self.c, self.d, self.e)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name}: must be finite, got {v!r}")
         if not self.b > self.a:
             raise ValueError(f"b must exceed a, got [{self.a}, {self.b}]")
         if self.d == 0.0:

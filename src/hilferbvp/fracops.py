@@ -31,10 +31,11 @@ A value needed only at t = b (rl_integral_end) comes from the last row
 alone, also cached.  Output weighting: sigma_out = max(sigma - mu, 0); the
 node-0 value is w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) if sigma >= mu, else 0.
 
-hilfer_derivative composes integral - derivative - integral,
-I^(beta(1-alpha)) D I^((1-beta)(1-alpha)), with second-order np.gradient
-differences on the native non-uniform mesh for the middle step.  It is a
-verification tool: the solver itself never differentiates.
+hilfer_derivative composes I^(beta(1-alpha)) D I^((1-beta)(1-alpha)) for
+g.sigma <= (1-beta)(1-alpha), where the inner integral u stays bounded.  D
+is one rule: second-order np.gradient differences of u's unweighted samples
+on nodes 1..N, extrapolated linearly to node 0.  It is a verification tool:
+the solver itself never differentiates.
 """
 from __future__ import annotations
 
@@ -322,27 +323,26 @@ def hilfer_derivative(alpha: float, beta: float,
     """Composite derivative I^(beta(1-alpha)) D I^((1-beta)(1-alpha)) g.
 
     beta = 0 reduces to the Riemann-Liouville derivative D I^(1-alpha),
-    beta = 1 to the Caputo form I^(1-alpha) D.  The middle step uses
-    three-point differences on the native mesh, so values at the first few
-    nodes are noisy; trust the interior.  Verification use only.
+    beta = 1 to the Caputo form I^(1-alpha) D.  D takes three-point
+    differences of u = I^((1-beta)(1-alpha)) g, unweighted, on nodes 1..N
+    and extrapolates linearly to node 0, so the first few nodes are noisy;
+    trust the interior.  Raises ValueError below three panels or for
+    g.sigma > (1-beta)(1-alpha), where u is unbounded at t = a.
     """
     hilfer_gamma(alpha, beta)  # validates the orders
     nu1 = (1.0 - beta) * (1.0 - alpha)
     nu2 = beta * (1.0 - alpha)
+    if g.grid.n_panels < 3:
+        raise ValueError("need at least three samples to differentiate")
+    if g.sigma - nu1 > 1e-12:
+        raise ValueError(f"g.sigma = {g.sigma} exceeds (1-beta)(1-alpha) = "
+                         f"{nu1}: the inner integral is unbounded at t = a")
 
     u = rl_integral(nu1, g) if nu1 > 0.0 else g
     tau = g.grid.offsets()
-
-    if u.sigma == 0.0:
-        v_vals = np.gradient(u.values, tau, edge_order=2)
-    elif g.grid.n_panels < 2:  # np.gradient raises IndexError on one sample
-        raise ValueError("need at least three samples to differentiate")
-    else:
-        inner = np.gradient(u.unweighted(), tau[1:], edge_order=2)
-        v_vals = np.empty(g.grid.n_nodes)
-        v_vals[1:] = inner
-        # linear extrapolation to tau = 0 for the panel-0 contribution
-        v_vals[0] = (inner[0] * tau[2] - inner[1] * tau[1]) / (tau[2] - tau[1])
-    v = WeightedGridFunction(g.grid, 0.0, v_vals)
+    inner = np.gradient(u.unweighted(), tau[1:], edge_order=2)
+    # linear extrapolation to tau = 0 for the panel-0 contribution
+    v0 = (inner[0] * tau[2] - inner[1] * tau[1]) / (tau[2] - tau[1])
+    v = WeightedGridFunction(g.grid, 0.0, np.concatenate(([v0], inner)))
 
     return rl_integral(nu2, v) if nu2 > 0.0 else v

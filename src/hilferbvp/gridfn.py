@@ -68,7 +68,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class WeightedGridFunction:
-    """Samples w_i = (t_i - a)^sigma z(t_i); w_0 stores lim_{t->a+}."""
+    """Samples w_i = (t_i - a)^sigma z(t_i); w_0 stores lim_{t->a+}.
+    values is an owned read-only copy of the array passed in."""
 
     grid: Grid
     sigma: float
@@ -77,16 +78,12 @@ class WeightedGridFunction:
     def __post_init__(self):
         if not (0.0 <= self.sigma < 1.0):
             raise GridError(f"sigma must be in [0, 1), got {self.sigma}")
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.grid.n_nodes,):
             raise GridError(
                 f"need {self.grid.n_nodes} values, got shape {v.shape}")
-        if not v.flags.writeable:
-            object.__setattr__(self, "values", v)
-        else:
-            v = v.copy()
-            v.setflags(write=False)
-            object.__setattr__(self, "values", v)
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     def unweighted(self) -> np.ndarray:
         """z(t_i) for i >= 1 (index 0 of the result is node 1)."""

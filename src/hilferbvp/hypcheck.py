@@ -236,14 +236,13 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
         reasons["lipschitz"] = ("L is a sampled estimate; pass "
                                 "trust_estimates to certify it")
 
-    def sup(name, expr):
-        value = weighted_sup(expr, p, grid)
-        if not np.isfinite(value):
-            raise OverflowError(f"weighted sup of {name} overflows on "
-                                f"[a, b] = [{p.a}, {p.b}]")
+    def finite(what, value):
+        if value is not None and not np.isfinite(value):
+            raise OverflowError(
+                f"{what} overflows on [a, b] = [{p.a}, {p.b}]")
         return value
 
-    f0_norm = sup("f", p.f)
+    f0_norm = finite("weighted sup of f", weighted_sup(p.f, p, grid))
     resolved["f0_norm"] = f0_norm
 
     def const(name, formula, *args):
@@ -252,10 +251,7 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
             value = formula(p, *args)
         except OverflowError:
             value = np.inf
-        if not np.isfinite(value):
-            raise OverflowError(
-                f"constant {name} overflows on [a, b] = [{p.a}, {p.b}]")
-        return value
+        return finite(f"constant {name}", value)
 
     B = const("B", compute_B)
     G = const("G", compute_G, n_bound, zeta)
@@ -268,7 +264,8 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
     eta_norm = None
     if bounds.eta is not None:
         inputs["eta"] = "user"
-        eta_norm = sup("bounds.eta", bounds.eta)
+        eta_norm = finite("weighted sup of bounds.eta",
+                          weighted_sup(bounds.eta, p, grid))
         reasons["ell"] = "literal-form bound"
     elif lips == 0.0 and l_ok:
         inputs["eta"] = "fallback-f0"
@@ -290,9 +287,7 @@ def applicability_report(p: ProblemSpec, grid: Grid | None = None, *,
         "schaefer": None if eta_norm is None else bc + B * eta_norm,
     }
     for name, radius in radii.items():
-        if radius is not None and not np.isfinite(radius):
-            raise OverflowError(
-                f"radius {name} overflows on [a, b] = [{p.a}, {p.b}]")
+        finite(f"radius {name}", radius)
     if radii["schauder"] is None:
         reasons["schauder"] = f"B N zeta = {growth_ratio:.6g} >= 1"
     if radii["krasnoselskii"] is None:

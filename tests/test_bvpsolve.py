@@ -1,5 +1,6 @@
 """Tests for the boundary value problem solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from hilferbvp.bvpsolve import (
     boundary_term,
     solve_picard,
 )
-from hilferbvp.exprlang import EvalError, parse
+from hilferbvp.exprlang import EvalError, evaluate, parse
 from hilferbvp.fracops import OrderError, hilfer_derivative
 from hilferbvp.gridfn import Grid, WeightedGridFunction
 from hilferbvp.specfun import gamma
@@ -44,6 +45,13 @@ def test_problem_validation():
     with pytest.raises(DegenerateBoundary):
         ProblemSpec(0.5, 0.5, 0.0, 1.0, -1.0, 1.0, 0.0, f)
     assert issubclass(DegenerateBoundary, ValueError)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["a", "b", "c", "d", "e"])
+def test_problem_rejects_non_finite_coefficient(p_ex, name, value):
+    with pytest.raises(ValueError, match=f"^{name}: must be finite"):
+        dataclasses.replace(p_ex, **{name: value})
 
 
 def test_boundary_term_is_constant(p_ex, grid512):
@@ -140,6 +148,17 @@ def test_solution_satisfies_equation_interior(p_ex, grid512):
                                  float(z_unw[i - 1]))
         worst = max(worst, abs(float(dz.values[i]) - want))
     assert worst < 5e-2
+
+
+def test_solution_satisfies_equation_relative(p_ex, grid512):
+    """D^(alpha,beta) z = f(t, z) on nodes N/8..7N/8 to 5e-4 relative."""
+    res = solve_picard(p_ex, grid512)
+    dz = hilfer_derivative(p_ex.alpha, p_ex.beta, res.solution)
+    n = grid512.n_panels
+    lo, hi = n // 8, 7 * n // 8
+    want = evaluate(p_ex.f, grid512.nodes[lo:hi],
+                    res.solution.unweighted()[lo - 1:hi - 1])
+    assert np.abs(dz.values[lo:hi] / want - 1.0).max() <= 5e-4
 
 
 def test_caputo_identity_branch():

@@ -214,6 +214,11 @@ def test_float_and_array_results():
         assert not np.shares_memory(got, z), text
 
 
+def test_evaluate_rejects_non_expression():
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate("t", 1.0, 0.0)
+
+
 def test_eval_error_is_arithmetic_error():
     assert issubclass(EvalError, ArithmeticError)
 
@@ -293,6 +298,11 @@ def test_printer_parenthesizes_structure():
     assert parse(to_string(left)) == left
     assert parse(to_string(right)) == right
     assert to_string(left) != to_string(right)
+
+
+def test_to_string_rejects_non_expression():
+    with pytest.raises(TypeError, match="not an expression node"):
+        to_string(Binary("+", Var("t"), 1.0))
 
 
 def test_whitespace_insensitive():

@@ -197,23 +197,46 @@ def test_hilfer_derivative_validates_orders():
         hilfer_derivative(0.5, 2.0, fn)
 
 
-GRADIENT_TOO_SMALL = r"at least \(edge_order \+ 1\) elements"
-
-
 @pytest.mark.parametrize("n, sigma, beta, message", [
-    (1, 0.0, 0.0, GRADIENT_TOO_SMALL),
-    (1, 0.0, 1.0, GRADIENT_TOO_SMALL),
-    (1, 0.4, 0.0, GRADIENT_TOO_SMALL),   # I^0.5 leaves sigma = 0
-    (1, 0.4, 1.0, "three samples"),      # one sample: np.gradient IndexErrors
-    (2, 0.4, 0.5, GRADIENT_TOO_SMALL),   # two samples once node 0 is dropped
-    (2, 0.4, 1.0, GRADIENT_TOO_SMALL),
+    (1, 0.0, 0.0, "three samples"),
+    (1, 0.0, 1.0, "three samples"),
+    (1, 0.4, 0.0, "three samples"),   # I^0.5 leaves sigma = 0
+    (1, 0.4, 1.0, "three samples"),
+    (2, 0.4, 0.5, "three samples"),   # checked before sigma > (1-b)(1-a)
+    (2, 0.4, 1.0, "three samples"),
 ])
 def test_hilfer_derivative_too_few_nodes(n, sigma, beta, message):
-    """The second-order differences need three samples of the function being
-    differentiated; node 0 is not one when that function is singular."""
+    """The second-order differences run on nodes 1..N, so they need three
+    panels; the panel count is checked before anything else."""
     fn = WeightedGridFunction(Grid(0.0, 1.0, n, 2.0), sigma, np.ones(n + 1))
     with pytest.raises(ValueError, match=message):
         hilfer_derivative(0.5, beta, fn)
+
+
+@pytest.mark.parametrize("beta", [1.0 / 3.0, 1.0])
+def test_hilfer_derivative_rejects_sigma_outside_space(beta):
+    """g.sigma above (1-beta)(1-alpha) leaves I^((1-beta)(1-alpha)) g
+    unbounded at t = a, outside the weighted space: no finite answer."""
+    g = Grid(0.0, 1.0, 256, 2.0)
+    sigma = (1.0 - beta) * 0.5 + 0.2
+    fn = WeightedGridFunction(g, sigma, np.ones(257))
+    with pytest.raises(ValueError, match=r"exceeds \(1-beta\)\(1-alpha\)"):
+        hilfer_derivative(0.5, beta, fn)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("beta", [0.0, 1.0 / 3.0, 1.0])
+def test_hilfer_derivative_power_family(p, beta):
+    """D^(1/2,beta) t^(p-1) = Gamma(p)/Gamma(p-1/2) t^(p-3/2) for every
+    beta, in the interior."""
+    n = 2048
+    g = Grid(0.0, 1.0, n, 2.0)
+    tau = g.offsets()
+    got = hilfer_derivative(0.5, beta,
+                            WeightedGridFunction(g, 0.0, tau ** (p - 1.0)))
+    want = gamma(p) / gamma(p - 0.5) * tau ** (p - 1.5)
+    lo, hi = n // 8, 7 * n // 8
+    assert np.abs(got.values[lo:hi] - want[lo:hi]).max() <= 1e-4
 
 
 def test_operator_cache_reuse():
@@ -267,9 +290,9 @@ def test_end_value_matches_last_row(n):
         rl_integral_end(0.0, fn)
 
 
-# Reference assembly: fills blocks of target rows at once from (C, J, K)
-# kernel tensors with a mask and an np.ix_ scatter, where fracops._rows
-# loops over target rows one at a time.
+# Reference assembly: fills chunks of target rows from (C, J, K) kernel
+# tensors with a mask and an np.ix_ scatter, independently of the
+# quadrature table and pruning rules inside fracops._block.
 
 def _ref_assemble_rows(M, rows, tau, h, mu, sigma, gl, gjl, gjr):
     jmin = 1 if sigma > 0.0 else 0

@@ -79,6 +79,12 @@ def test_grid_rejects_overflowing_length():
         Grid(0.0, np.inf, 8, 2.0)
 
 
+def test_grid_rejects_collapsed_mesh():
+    # (i/N)^10 steps near a fall below the spacing of floats near 1e6
+    with pytest.raises(GridError, match="mesh collapsed"):
+        Grid(1e6, 1e6 + 1, 1000, 10.0)
+
+
 def test_grid_equality_and_hash():
     g1 = Grid(0.0, 1.0, 8, 2.0)
     g2 = Grid(0.0, 1.0, 8, 2.0)
@@ -136,6 +142,22 @@ def test_constructor_does_not_alias_input():
     fn = WeightedGridFunction(g, 0.5, src)
     src[2] = 99.0
     assert fn.values[2] == 1.0
+
+
+def test_constructor_copies_read_only_input():
+    """A read-only view and a broadcast 0-d array are copied too: writing
+    their base afterwards leaves values alone."""
+    g = Grid(0.0, 1.0, 8, 2.0)
+    base = np.ones(9)
+    view = base[:]
+    view.setflags(write=False)
+    scalar = np.array(2.0)
+    for src, owner in ((view, base), (np.broadcast_to(scalar, (9,)), scalar)):
+        fn = WeightedGridFunction(g, 0.5, src)
+        want = fn.values.copy()
+        owner[...] = 99.0
+        assert np.array_equal(fn.values, want)
+        assert not fn.values.flags.writeable
 
 
 def test_constructor_validation():

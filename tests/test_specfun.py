@@ -63,6 +63,11 @@ def test_pole_errors(x):
         gamma(x)
 
 
+def test_gamma_of_nan_raises():
+    with pytest.raises(ValueError, match="gamma of nan"):
+        gamma(math.nan)
+
+
 def test_beta_symmetry_and_values():
     rng = np.random.default_rng(105)
     for _ in range(200):
