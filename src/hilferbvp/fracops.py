@@ -19,7 +19,12 @@ matrix-vector product per step.  The operator is stored as a HODLR matrix
 (hierarchically off-diagonal low-rank).  A grid of at most LEAF nodes is one
 exact dense leaf; a larger one is halved until each piece holds at most
 LEAF // 2 nodes, each diagonal leaf is stored dense, and each strictly-lower
-off-diagonal block as U @ V.T truncated to ACA_TOL.  A block next to a leaf
+off-diagonal block as U @ V.T truncated to ACA_TOL.  A factor column whose
+singular value is at most _F32_CUT = ACA_TOL / (2 eps32) ~ 4.2e-6 of the
+block's largest, s1, is stored in float32, which costs it at most ACA_TOL s1
+/ 4; that part of U is divided by s1, and a matvec divides x by max|x| before
+its float32 products and multiplies them back by s1 max|x|, so no interval,
+order or input can under- or overflow float32.  A block next to a leaf
 is sampled whole and truncated by SVD; a larger one is built by adaptive
 cross approximation from a few sampled rows and columns.  The accepted
 crosses are the rows of two arrays, so each ACA residual update is one BLAS
@@ -59,6 +64,7 @@ N_GL = 6  # Gauss-Legendre points per interior panel
 N_GJ = 8  # Gauss-Jacobi points on the singular panels
 LEAF = 128       # largest diagonal block of the operator stored dense
 ACA_TOL = 1e-12  # relative accuracy of each low-rank off-diagonal block
+_F32_CUT = ACA_TOL / (2.0 * np.finfo(np.float32).eps)  # float32 column cut
 
 
 class OrderError(ValueError):
@@ -114,8 +120,10 @@ def _table(grid: Grid, mu: float, sigma: float) -> _Table:
     tau = grid.offsets()
     h = np.diff(tau)
     x, w = _gauss_legendre01(N_GL)
-    s = tau[:-1] + h * x[:, None]
-    ws = w[:, None] * h * s ** (-sigma)
+    s = h * x[:, None]  # in place: fewer (N_GL, N) temporaries at the peak
+    s += tau[:-1]
+    ws = w[:, None] * h
+    ws *= s ** (-sigma)
     rho = tau ** max(sigma - mu, 0.0) / gamma(mu)
     return _Table(grid, mu, sigma, tau, h, s, ws, rho)
 
@@ -184,24 +192,32 @@ def _sample(tab: _Table, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     return M
 
 
-def _truncated_svd(M: np.ndarray):
-    """U, V with U @ V.T = M less its singular values <= ACA_TOL s[0]."""
+def _truncated_svd(M: np.ndarray, qu=None, qv=None):
+    """(U, V, s1, U32, V32) with U @ V.T + s1 U32 @ V32.T = M (or qu @ M @
+    qv.T) less its singular values <= ACA_TOL s1, s1 the largest; float32
+    U32, V32 hold the columns with singular values <= _F32_CUT s1."""
     w, s, zt = np.linalg.svd(M, full_matrices=False)
     r = int(np.count_nonzero(s > ACA_TOL * s[0]))
-    return w[:, :r] * s[:r], zt[:r].T.copy()  # a view would keep all of zt
+    k = int(np.count_nonzero(s > _F32_CUT * s[0]))
+    s1 = float(s[0])
+    parts = [w[:, :k] * s[:k], zt[:k].T, w[:, k:r] * (s[k:r] / s1), zt[k:r].T]
+    if qu is not None:
+        parts = [q @ a for q, a in zip((qu, qv, qu, qv), parts)]
+    U, V, U32, V32 = parts  # V is copied below: a view would keep all of zt
+    return (_frozen(U), _frozen(np.ascontiguousarray(V)), s1,
+            _frozen(U32.astype(np.float32)), _frozen(V32.astype(np.float32)))
 
 
 def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
-    """Factors U, V with U @ V.T equal to _block(grid, mu, sigma, r0, r1,
-    c0, c1) within ACA_TOL relative.  A block with a side of at most
+    """_truncated_svd factors equal to _block(grid, mu, sigma, r0, r1, c0,
+    c1) within ACA_TOL relative.  A block with a side of at most
     LEAF // 2 (in _operator, one next to a leaf) is sampled whole and
     truncated by SVD, which there costs less than ACA's ~2r single rows and
     columns (at 128 x 128 the SVD alone costs more).  A larger block comes
     from partial-pivot adaptive cross approximation (Bebendorf 2000),
     recompressed by QR and SVD; the crosses are rows of U and V."""
     if min(r1 - r0, c1 - c0) <= LEAF // 2:
-        U, V = _truncated_svd(_sample(tab, r0, r1, c0, c1))
-        return _frozen(U), _frozen(V)
+        return _truncated_svd(_sample(tab, r0, r1, c0, c1))
     U, V = np.empty((8, r1 - r0)), np.empty((8, c1 - c0))
     k, norm2 = 0, 0.0
     i, free = 0, np.ones(r1 - r0, dtype=bool)
@@ -226,15 +242,15 @@ def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
         i = int(np.argmax(np.where(free, np.abs(u), -1.0)))
     qu, ru = np.linalg.qr(U[:k].T)
     qv, rv = np.linalg.qr(V[:k].T)
-    cu, cv = _truncated_svd(ru @ rv.T)
-    return _frozen(qu @ cu), _frozen(qv @ cv)
+    return _truncated_svd(ru @ rv.T, qu, qv)
 
 
 @dataclass(frozen=True, eq=False)
 class HODLR:
     """Square Volterra matrix stored hierarchically: dense diagonal leaves
     (lo, hi, D) cover every row, and each strictly-lower off-diagonal block
-    (r0, r1, c0, c1, U, V) is U @ V.T.  Blocks above the diagonal are zero."""
+    (r0, r1, c0, c1, U, V, s1, U32, V32) is U @ V.T + s1 U32 @ V32.T.
+    Blocks above the diagonal are zero."""
 
     n: int
     leaves: tuple
@@ -244,14 +260,18 @@ class HODLR:
         y = np.empty(self.n)
         for lo, hi, D in self.leaves:
             y[lo:hi] = D @ x[lo:hi]
-        for r0, r1, c0, c1, U, V in self.factors:
+        m = float(np.abs(x).max())  # NaN or inf if x is: y is non-finite too
+        x32 = (x / (m or 1.0)).astype(np.float32)  # in range, as U32 = U / s1
+        for r0, r1, c0, c1, U, V, s1, U32, V32 in self.factors:
             y[r0:r1] += U @ (V.T @ x[c0:c1])
+            y[r0:r1] += (U32 @ (V32.T @ x32[c0:c1])).astype(float) * (s1 * m)
         return y
 
     @property
     def nbytes(self) -> int:
         return (sum(D.nbytes for *_, D in self.leaves)
-                + sum(U.nbytes + V.nbytes for *_, U, V in self.factors))
+                + sum(a.nbytes for *_, U, V, _, U32, V32 in self.factors
+                      for a in (U, V, U32, V32)))
 
 
 @lru_cache(maxsize=8)
@@ -277,9 +297,12 @@ def _operator(grid: Grid, mu: float, sigma: float) -> HODLR:
 
 @lru_cache(maxsize=8)
 def _end_row(grid: Grid, mu: float, sigma: float) -> np.ndarray:
-    """The last row of _operator, built alone."""
-    n = grid.n_nodes
-    return _frozen(_block(grid, mu, sigma, n - 1, n, 0, n))[0]
+    """The last row of _operator, built alone, 1024 columns at a time so
+    no sampled kernel spans the whole row."""
+    tab, n = _table(grid, mu, sigma), grid.n_nodes
+    return _frozen(np.concatenate([
+        _sample(tab, n - 1, n, c, min(c + 1024, n))
+        for c in range(0, n, 1024)], axis=1))[0]  # a view cannot be unfrozen
 
 
 def _check_order(mu: float) -> None:

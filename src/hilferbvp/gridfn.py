@@ -97,19 +97,21 @@ def weighted_norm(g: WeightedGridFunction) -> float:
 
 
 def write_csv(g: WeightedGridFunction, out: TextIO | str) -> None:
-    """Write nodes as CSV rows t,w,z.
+    """Write nodes as CSV rows t,w,z, 512 rows per write.
 
     The z column is g.unweighted() from t_1 on; at t_0 it is w_0 when
     sigma = 0 and empty when sigma > 0 (the sample is unbounded there).
-    Floats are rendered with repr so rereading loses nothing.
+    Floats are rendered with repr so rereading loses nothing.  Only one
+    chunk of rows is ever held as Python floats and strings.
     """
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8") as fh:
             write_csv(g, fh)
         return
-    out.write("t,w,z\n")
-    z = ["" if g.sigma > 0.0 else repr(float(g.values[0]))]
-    z += map(repr, g.unweighted().tolist())
-    for t, w, zc in zip(g.grid.nodes.tolist(), g.values.tolist(), z):
-        out.write(f"{t!r},{w!r},{zc}\n")
+    t0, w0 = float(g.grid.nodes[0]), float(g.values[0])
+    out.write(f"t,w,z\n{t0!r},{w0!r},{'' if g.sigma > 0.0 else repr(w0)}\n")
+    cols = (g.grid.nodes[1:], g.values[1:], g.unweighted())
+    for lo in range(0, g.grid.n_panels, 512):
+        rows = zip(*(c[lo:lo + 512].tolist() for c in cols))
+        out.write("".join(f"{t!r},{w!r},{z!r}\n" for t, w, z in rows))
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hilferbvp.fracops import (
+    _F32_CUT,
+    ACA_TOL,
     LEAF,
     OrderError,
     _block,
@@ -250,7 +252,8 @@ def test_operator_cache_reuse():
 
 def _arrays(op):
     return ([D for *_, D in op.leaves]
-            + [a for *_, U, V in op.factors for a in (U, V)])
+            + [a for *_, U, V, _, U32, V32 in op.factors
+               for a in (U, V, U32, V32)])
 
 
 def test_cached_operator_is_read_only():
@@ -407,12 +410,52 @@ def test_lowrank_factors_match_block(n, q):
     g = Grid(0.0, 1.0, n, q)
     for mu, sigma in HODLR_ORDERS:
         op = _operator.__wrapped__(g, mu, sigma)
-        for r0, r1, c0, c1, U, V in op.factors:
+        for r0, r1, c0, c1, U, V, s1, U32, V32 in op.factors:
             want = _block(g, mu, sigma, r0, r1, c0, c1)
-            err = np.linalg.norm(U @ V.T - want)
+            low = s1 * U32.astype(float) @ V32.astype(float).T
+            err = np.linalg.norm(U @ V.T + low - want)
             assert err <= 1e-11 * np.linalg.norm(want), (mu, sigma, r0, c0)
         for lo, hi, D in op.leaves:
             assert np.array_equal(D, _block(g, mu, sigma, lo, hi, lo, hi))
+
+
+@pytest.mark.parametrize("n", [129, 1000, 4096])
+def test_factor_precision_split(n):
+    """A factor column is float32 exactly when its singular value is at
+    most _F32_CUT times the block's largest, and every array is frozen."""
+    g = Grid(0.0, 1.0, n, 2.0)
+    assert _F32_CUT == ACA_TOL / (2.0 * np.finfo(np.float32).eps)
+    for mu, sigma in HODLR_ORDERS:
+        op = _operator.__wrapped__(g, mu, sigma)
+        for *_, U, V, s1, U32, V32 in op.factors:
+            assert (U.dtype, V.dtype) == (np.float64, np.float64)
+            assert (U32.dtype, V32.dtype) == (np.float32, np.float32)
+            assert isinstance(s1, float)
+            # V has orthonormal columns, so the column norms of U (and
+            # s1 U32) are the block's singular values
+            s64 = np.linalg.norm(U, axis=0)
+            s32 = s1 * np.linalg.norm(U32.astype(float), axis=0)
+            assert s64[0] == pytest.approx(s1, rel=1e-12)
+            assert np.all(s64 > _F32_CUT * s1 * (1.0 - 1e-12))
+            assert np.all(s32 <= _F32_CUT * s1 * (1.0 + 1e-6))
+        for a in _arrays(op):
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.7])
+@pytest.mark.parametrize("b,scale", [(1e-60, 1e200), (1e40, 1e100),
+                                     (1.0, 1e-200)])
+def test_hodlr_matvec_extreme_scales(mu, b, scale):
+    """The float32 half of each factor is scaled by its block's largest
+    singular value and x by max|x|, so neither overflows nor underflows
+    float32 on tiny or huge intervals and inputs."""
+    g = Grid(0.0, b, 1000, 2.0)
+    x = scale * np.random.default_rng(7).normal(size=1001)
+    op = _operator.__wrapped__(g, mu, 1.0 / 3.0)
+    want = _dense_matvec(g, mu, 1.0 / 3.0, x)
+    got = op @ x
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_hodlr_storage_and_determinism():
@@ -431,14 +474,14 @@ def test_hodlr_storage_and_determinism():
 def test_hodlr_leaf_sizes():
     """A grid of at most LEAF nodes is one exact leaf; a larger one is cut
     into leaves of at most LEAF // 2 nodes, which keeps the N = 4096
-    operator under 5.7 MiB (LEAF-node leaves take 6.95 MiB)."""
+    operator under 4.8 MiB (LEAF-node leaves take 6.95 MiB)."""
     for n in (1, 64, 127):
         op = _operator.__wrapped__(Grid(0.0, 1.0, n, 2.0), 0.5, 1.0 / 3.0)
         assert [leaf[:2] for leaf in op.leaves] == [(0, n + 1)]
     for n in (128, 129, 1000, 4096):
         op = _operator.__wrapped__(Grid(0.0, 1.0, n, 2.0), 0.5, 1.0 / 3.0)
         assert max(hi - lo for lo, hi, _ in op.leaves) <= LEAF // 2
-    assert op.nbytes <= 5.7 * 2**20
+    assert op.nbytes <= 4.8 * 2**20
 
 
 @pytest.mark.parametrize("mu", [0.1, 1.0 / 3.0, 0.5, 5.0 / 6.0, 1.0, 1.7, 2.0])

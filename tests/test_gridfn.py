@@ -210,3 +210,24 @@ def test_write_csv_path_and_stream(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(fn, str(path))
     assert path.read_text() == csv_text(fn)
+
+
+def _ref_csv(fn):
+    """The whole-list writer: every row formatted from full Python lists."""
+    z = ["" if fn.sigma > 0.0 else repr(float(fn.values[0]))]
+    z += map(repr, fn.unweighted().tolist())
+    rows = zip(fn.grid.nodes.tolist(), fn.values.tolist(), z)
+    return "t,w,z\n" + "".join(f"{t!r},{w!r},{zc}\n" for t, w, zc in rows)
+
+
+@pytest.mark.parametrize("n,sigma", [
+    (1, 0.0), (1, 0.5), (3, 0.5), (511, 0.0), (512, 1.0 / 3.0),
+    (513, 0.0), (1025, 0.2), (8192, 1.0 / 3.0),
+])
+def test_csv_streamed_matches_reference(n, sigma):
+    """The 512-row chunks write what one pass over whole lists writes, byte
+    for byte, across chunk edges and for values spanning the float range."""
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=n + 1) * 10.0 ** rng.integers(-300, 300, size=n + 1)
+    fn = WeightedGridFunction(Grid(0.0, 1.0, n, 2.0), sigma, v)
+    assert csv_text(fn) == _ref_csv(fn)
