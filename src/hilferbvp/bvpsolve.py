@@ -170,8 +170,9 @@ def apply_T(p: ProblemSpec, z: WeightedGridFunction) -> WeightedGridFunction:
     sig = p.sigma
 
     F = _weighted_rhs(p, z)
-    i_alpha = rl_integral(p.alpha, F)
+    # the end row before I^alpha: a cold solve then peaks lower
     tail = rl_integral_end(sig + p.alpha, F)  # order 1 - gamma + alpha
+    i_alpha = rl_integral(p.alpha, F)
 
     expo = sig - i_alpha.sigma  # alpha when sigma > alpha, else sigma
     w = p.boundary_const - p.resolvent / gamma_fn(p.gamma) * tail \

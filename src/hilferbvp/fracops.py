@@ -12,26 +12,23 @@ weighted samples w_j = (s_j - a)^sigma g(s_j).  Panel rules:
   * everything in between: Gauss-Legendre.
 
 The result is linear in the w vector: one builder, _block, gives any
-sub-block of the operator matrix from the rules above.  All the Gauss rules
-come from one Golub-Welsch in numpy.  Each (grid, mu, sigma) gets one
-operator, cached and reused, so a fixed-point iteration costs one
-matrix-vector product per step.  The operator is stored as a HODLR matrix
-(hierarchically off-diagonal low-rank).  A grid of at most LEAF nodes is one
-exact dense leaf; a larger one is halved until each piece holds at most
-LEAF // 2 nodes, each diagonal leaf is stored dense, and each strictly-lower
-off-diagonal block as U @ V.T truncated to ACA_TOL.  A factor column whose
-singular value is at most _F32_CUT = ACA_TOL / (2 eps32) ~ 4.2e-6 of the
-block's largest, s1, is stored in float32, which costs it at most ACA_TOL s1
-/ 4; that part of U is divided by s1, and a matvec divides x by max|x| before
-its float32 products and multiplies them back by s1 max|x|, so no interval,
-order or input can under- or overflow float32.  A block next to a leaf
-is sampled whole and truncated by SVD; a larger one is built by adaptive
-cross approximation from a few sampled rows and columns.  The accepted
-crosses are the rows of two arrays, so each ACA residual update is one BLAS
-product, and each build makes one quadrature table (offsets, panel points
-and weights, output weighting) that all its samples read.  Blocks above the
-diagonal are zero, since the operator is a Volterra one.  Beyond one leaf no
-(N+1)^2 array is formed; the whole matrix exists only as the test oracle.
+sub-block of the operator matrix from the rules above, with Gauss rules from
+one Golub-Welsch in numpy.  Each (grid, mu, sigma) gets one cached operator,
+so a fixed-point iteration costs one matrix-vector product per step.  It is
+a HODLR matrix (hierarchically off-diagonal low-rank): a grid of n <= LEAF
+nodes is one dense leaf; a larger one's N = n - 1 panels are halved d times,
+d the least with m = ceil(N / 2^d) <= LEAF // 4, into dense leaves of m
+nodes, stacked.  Each level of strictly-lower blocks, s = m, 2m, 4m, ... < n
+columns wide and truncated to ACA_TOL, is stacked with ranks padded to its
+largest, so a matvec makes one batched product per level and precision (a
+level's last block, cut short at n, is a stack of its own).  A factor column
+whose singular value is at most _F32_CUT = ACA_TOL / (2 eps32) ~ 4.2e-6 of
+the block's largest, s1, is float32, which costs it at most ACA_TOL s1 / 4;
+that part of U is divided by s1, and a matvec divides x by max|x| before the
+float32 products, so nothing under- or overflows.  A block of at most
+LEAF // 2 a side comes from an SVD of its samples, a larger one from ACA.  A
+build reads one quadrature table and stacks each level, largest blocks
+first, before it starts the next; beyond one leaf it forms no (N+1)^2 array.
 A value needed only at t = b (rl_integral_end) comes from the last row
 alone, also cached.  Output weighting: sigma_out = max(sigma - mu, 0); the
 node-0 value is w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) if sigma >= mu, else 0.
@@ -111,21 +108,20 @@ def _gauss_jacobi_left(n: int, sigma: float):
     return 1.0 - v, w
 
 
-# Shared by every sample of one build: offsets tau, panel widths h, panel
-# Gauss-Legendre points s (N_GL, panels), weights ws = w h s^(-sigma), rho
-_Table = namedtuple("_Table", "grid mu sigma tau h s ws rho")
+# Shared by every sample of one build: offsets tau, panel widths h, rho and
+# weights ws = w h s^(-sigma) at the Gauss-Legendre points s = h x + tau
+_Table = namedtuple("_Table", "grid mu sigma tau h ws rho")
 
 
 def _table(grid: Grid, mu: float, sigma: float) -> _Table:
     tau = grid.offsets()
     h = np.diff(tau)
     x, w = _gauss_legendre01(N_GL)
-    s = h * x[:, None]  # in place: fewer (N_GL, N) temporaries at the peak
-    s += tau[:-1]
     ws = w[:, None] * h
-    ws *= s ** (-sigma)
+    for k in range(N_GL):  # one Gauss point at a time: no second (N_GL, N)
+        ws[k] *= (h * x[k] + tau[:-1]) ** (-sigma)
     rho = tau ** max(sigma - mu, 0.0) / gamma(mu)
-    return _Table(grid, mu, sigma, tau, h, s, ws, rho)
+    return _Table(grid, mu, sigma, tau, h, ws, rho)
 
 
 def _block(grid: Grid, mu: float, sigma: float,
@@ -138,7 +134,7 @@ def _block(grid: Grid, mu: float, sigma: float,
 
 def _sample(tab: _Table, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     """_block from a prebuilt quadrature table."""
-    grid, mu, sigma, tau, h, s, ws, rho = tab
+    grid, mu, sigma, tau, h, ws, rho = tab
     i = np.arange(r0, r1)
     first = 2 if sigma > 0.0 else 1   # targets below are set in closed form
     jmin = first - 1                  # panel 0 has its own rule if sigma > 0
@@ -151,7 +147,8 @@ def _sample(tab: _Table, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     p = np.arange(p0, p1)
     use = (p >= jmin) & (p <= i[:, None] - 2)                      # (R, P)
     # |t_i - s| > 0 on every panel, so the unused entries stay finite
-    kern = np.abs(tau[r0:r1, None, None] - s[:, p0:p1])            # (R, K, P)
+    s = h[p0:p1] * x[:, None] + tau[p0:p1]             # (K, P), as in _table
+    kern = np.abs(tau[r0:r1, None, None] - s)                      # (R, K, P)
     np.power(kern, mu - 1.0, out=kern)
     kern *= ws[:, p0:p1]
     E[:, :-1] += ((1.0 - x) @ kern) * use
@@ -193,9 +190,9 @@ def _sample(tab: _Table, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
 
 
 def _truncated_svd(M: np.ndarray, qu=None, qv=None):
-    """(U, V, s1, U32, V32) with U @ V.T + s1 U32 @ V32.T = M (or qu @ M @
+    """(U, Vt, s1, U32, V32t) with U @ Vt + s1 U32 @ V32t = M (or qu @ M @
     qv.T) less its singular values <= ACA_TOL s1, s1 the largest; float32
-    U32, V32 hold the columns with singular values <= _F32_CUT s1."""
+    U32, V32t hold the singular vectors of values <= _F32_CUT s1."""
     w, s, zt = np.linalg.svd(M, full_matrices=False)
     r = int(np.count_nonzero(s > ACA_TOL * s[0]))
     k = int(np.count_nonzero(s > _F32_CUT * s[0]))
@@ -203,20 +200,16 @@ def _truncated_svd(M: np.ndarray, qu=None, qv=None):
     parts = [w[:, :k] * s[:k], zt[:k].T, w[:, k:r] * (s[k:r] / s1), zt[k:r].T]
     if qu is not None:
         parts = [q @ a for q, a in zip((qu, qv, qu, qv), parts)]
-    U, V, U32, V32 = parts  # V is copied below: a view would keep all of zt
-    return (_frozen(U), _frozen(np.ascontiguousarray(V)), s1,
-            _frozen(U32.astype(np.float32)), _frozen(V32.astype(np.float32)))
+    U, V, U32, V32 = parts  # V is copied: a view would keep all of zt
+    return U, V.T.copy(), s1, U32.astype(np.float32), V32.T.astype(np.float32)
 
 
 def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
     """_truncated_svd factors equal to _block(grid, mu, sigma, r0, r1, c0,
-    c1) within ACA_TOL relative.  A block with a side of at most
-    LEAF // 2 (in _operator, one next to a leaf) is sampled whole and
-    truncated by SVD, which there costs less than ACA's ~2r single rows and
-    columns (at 128 x 128 the SVD alone costs more).  A larger block comes
-    from partial-pivot adaptive cross approximation (Bebendorf 2000),
-    recompressed by QR and SVD; the crosses are rows of U and V."""
-    if min(r1 - r0, c1 - c0) <= LEAF // 2:
+    c1) within ACA_TOL relative: from an SVD of the whole block if it is at
+    most LEAF // 2 a side, else by partial-pivot adaptive cross approximation
+    (ACA, Bebendorf 2000) from ~2r rows and columns, recompressed by QR."""
+    if max(r1 - r0, c1 - c0) <= LEAF // 2:
         return _truncated_svd(_sample(tab, r0, r1, c0, c1))
     U, V = np.empty((8, r1 - r0)), np.empty((8, c1 - c0))
     k, norm2 = 0, 0.0
@@ -245,54 +238,90 @@ def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
     return _truncated_svd(ru @ rv.T, qu, qv)
 
 
+_Level = namedtuple("_Level", "c U Vt s1 U32 V32t")
+
+
 @dataclass(frozen=True, eq=False)
 class HODLR:
-    """Square Volterra matrix stored hierarchically: dense diagonal leaves
-    (lo, hi, D) cover every row, and each strictly-lower off-diagonal block
-    (r0, r1, c0, c1, U, V, s1, U32, V32) is U @ V.T + s1 U32 @ V32.T.
-    Blocks above the diagonal are zero."""
+    """Square Volterra matrix: leaves D and _Levels, whose block i maps
+    columns c + 2si + [0, s) to the next r rows: U Vt + s1 U32 V32t."""
 
     n: int
-    leaves: tuple
-    factors: tuple
+    D: np.ndarray
+    levels: tuple
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty(self.n)
-        for lo, hi, D in self.leaves:
-            y[lo:hi] = D @ x[lo:hi]
-        m = float(np.abs(x).max())  # NaN or inf if x is: y is non-finite too
-        x32 = (x / (m or 1.0)).astype(np.float32)  # in range, as U32 = U / s1
-        for r0, r1, c0, c1, U, V, s1, U32, V32 in self.factors:
-            y[r0:r1] += U @ (V.T @ x[c0:c1])
-            y[r0:r1] += (U32 @ (V32.T @ x32[c0:c1])).astype(float) * (s1 * m)
-        return y
+        n, (L, m, _) = self.n, self.D.shape
+        xp = np.concatenate([x, np.zeros(L * m - n)])
+        mx = float(np.abs(x).max())  # NaN or inf if x is: y is non-finite too
+        x32 = (xp / (mx or 1.0)).astype(np.float32)  # in range: U32 = U / s1
+        y = (self.D @ xp.reshape(L, m, 1)).reshape(L * m)
+        for c, U, Vt, s1, U32, V32t in self.levels:
+            (B, r, _), s = U.shape, Vt.shape[2]
+            span = slice(c, c + 2 * B * s)
+            ys = y[span].reshape(B, -1)[:, s:s + r]
+            ys += (U @ (Vt @ xp[span].reshape(B, -1)[:, :s, None]))[..., 0]
+            low = U32 @ (V32t @ x32[span].reshape(B, -1)[:, :s, None])
+            ys += low[..., 0] * (s1[:, None] * mx)
+        return y[:n]
 
     @property
     def nbytes(self) -> int:
-        return (sum(D.nbytes for *_, D in self.leaves)
-                + sum(a.nbytes for *_, U, V, _, U32, V32 in self.factors
-                      for a in (U, V, U32, V32)))
+        return self.D.nbytes + sum(a.nbytes for lev in self.levels
+                                   for a in lev[1:])
+
+    @property
+    def leaves(self) -> tuple:
+        """(lo, hi, D) per leaf, D a read-only view into the stack."""
+        m = len(self.D[0])
+        return tuple((lo, min(lo + m, self.n), D[:self.n - lo, :self.n - lo])
+                     for lo, D in zip(range(0, self.n, m), self.D))
+
+    @property
+    def factors(self) -> tuple:
+        """(r0, r1, c0, c1, U, V, s1, U32, V32) per off-diagonal block: views
+        less the padding (a stored row of Vt has unit norm, a padded one 0)."""
+        out = []
+        for c, U, Vt, s1, U32, V32t in self.levels:
+            r, s = U.shape[1], Vt.shape[2]
+            for i, j in enumerate(range(c, c + 2 * s * len(U), 2 * s)):
+                k, q = (np.count_nonzero(a[i].any(axis=1)) for a in (Vt, V32t))
+                out.append((j + s, j + s + r, j, j + s, U[i, :, :k],
+                            Vt[i, :k].T, s1[i], U32[i, :, :q], V32t[i, :q].T))
+        return tuple(out)
+
+
+def _stack(c: int, blocks: list) -> _Level:
+    """The _Level of the _truncated_svd factors of equal-shaped blocks."""
+    def stacked(parts):  # zero-padded to the largest rank
+        out = np.zeros((len(parts), *np.max([p.shape for p in parts], 0)),
+                       parts[0].dtype)
+        for o, p in zip(out, parts):
+            o[:len(p), :p.shape[1]] = p
+        return _frozen(out)
+    U, Vt, s1, U32, V32t = zip(*blocks)
+    return _Level(c, stacked(U), stacked(Vt), _frozen(np.array(s1)),
+                  stacked(U32), stacked(V32t))
 
 
 @lru_cache(maxsize=8)
 def _operator(grid: Grid, mu: float, sigma: float) -> HODLR:
-    """Matrix taking stored w values of g to stored w values of I^mu g, as
-    a HODLR: a grid of at most LEAF nodes is one dense leaf, and a larger
-    one is halved until each piece holds at most LEAF // 2 nodes (half of a
-    dense leaf is its zero upper triangle)."""
-    tab = _table(grid, mu, sigma)  # freed on return: no closure holds it
-    leaf = LEAF if grid.n_nodes <= LEAF else LEAF // 2
-    leaves, factors = [], []
-    todo = [(0, grid.n_nodes)]     # depth first, lower half first
-    while todo:
-        lo, hi = todo.pop()
-        if hi - lo <= leaf:
-            leaves.append((lo, hi, _frozen(_sample(tab, lo, hi, lo, hi))))
-            continue
-        mid = (lo + hi) // 2
-        factors.append((mid, hi, lo, mid, *_lowrank(tab, mid, hi, lo, mid)))
-        todo += [(mid, hi), (lo, mid)]
-    return HODLR(grid.n_nodes, tuple(leaves), tuple(factors))
+    """Matrix taking stored w values of g to those of I^mu g, as a HODLR."""
+    tab, n = _table(grid, mu, sigma), grid.n_nodes  # tab is freed on return
+    N = n - 1  # halve the N panels: then N = 2^k fills every leaf
+    d = 0 if n <= LEAF else (-(-N // (LEAF // 4)) - 1).bit_length()
+    m = n if n <= LEAF else -(-N // 2 ** d)
+    levels = []
+    for s in (m << j for j in reversed(range((N // m).bit_length()))):
+        whole = 2 * s * (n // (2 * s))
+        for cols in (range(0, whole, 2 * s), range(whole, n - s, 2 * s)):
+            if cols:  # the second holds the short last block, if any
+                levels.append(_stack(cols[0], [_lowrank(
+                    tab, c + s, min(c + 2 * s, n), c, c + s) for c in cols]))
+    D = np.zeros((-(-n // m), m, m))
+    for lo, hi in ((lo, min(lo + m, n)) for lo in range(0, n, m)):
+        D[lo // m, :hi - lo, :hi - lo] = _sample(tab, lo, hi, lo, hi)
+    return HODLR(n, _frozen(D), tuple(levels))
 
 
 @lru_cache(maxsize=8)

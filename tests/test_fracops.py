@@ -1,10 +1,15 @@
 """Tests for the fractional integral and derivative operators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hilferbvp
 from hilferbvp.fracops import (
     _F32_CUT,
     ACA_TOL,
@@ -27,6 +32,8 @@ from hilferbvp.specfun import beta as beta_fn
 from hilferbvp.specfun import gamma
 
 from conftest import ORACLE
+
+SRC = Path(hilferbvp.__file__).parent.parent
 
 
 def test_hilfer_gamma_values():
@@ -251,9 +258,7 @@ def test_operator_cache_reuse():
 
 
 def _arrays(op):
-    return ([D for *_, D in op.leaves]
-            + [a for *_, U, V, _, U32, V32 in op.factors
-               for a in (U, V, U32, V32)])
+    return [op.D] + [a for level in op.levels for a in level[1:]]
 
 
 def test_cached_operator_is_read_only():
@@ -473,15 +478,80 @@ def test_hodlr_storage_and_determinism():
 
 def test_hodlr_leaf_sizes():
     """A grid of at most LEAF nodes is one exact leaf; a larger one is cut
-    into leaves of at most LEAF // 2 nodes, which keeps the N = 4096
-    operator under 4.8 MiB (LEAF-node leaves take 6.95 MiB)."""
+    into leaves of at most LEAF // 4 nodes, which keeps the N = 4096
+    operator under 4.12 MiB (3.93 MiB; LEAF // 2-node leaves took 4.56 MiB,
+    LEAF-node leaves 6.95 MiB)."""
     for n in (1, 64, 127):
         op = _operator.__wrapped__(Grid(0.0, 1.0, n, 2.0), 0.5, 1.0 / 3.0)
         assert [leaf[:2] for leaf in op.leaves] == [(0, n + 1)]
     for n in (128, 129, 1000, 4096):
         op = _operator.__wrapped__(Grid(0.0, 1.0, n, 2.0), 0.5, 1.0 / 3.0)
-        assert max(hi - lo for lo, hi, _ in op.leaves) <= LEAF // 2
-    assert op.nbytes <= 4.8 * 2**20
+        assert max(hi - lo for lo, hi, _ in op.leaves) <= LEAF // 4
+    assert op.nbytes <= 4.12 * 2**20
+
+
+def _loop_matvec(op, x):
+    """The HODLR product one leaf and one factor at a time, as a Python loop
+    over op.leaves and op.factors."""
+    y = np.zeros(op.n)
+    for lo, hi, D in op.leaves:
+        y[lo:hi] = D @ x[lo:hi]
+    m = float(np.abs(x).max())
+    x32 = (x / m).astype(np.float32)
+    for r0, r1, c0, c1, U, V, s1, U32, V32 in op.factors:
+        y[r0:r1] += U @ (V.T @ x[c0:c1])
+        y[r0:r1] += (U32 @ (V32.T @ x32[c0:c1])).astype(float) * (s1 * m)
+    return y
+
+
+@pytest.mark.parametrize("n", [128, 129, 1000, 4097])
+def test_stacked_matvec_matches_block_loop(n):
+    """The batched product over the stacked levels equals the block-by-block
+    loop within 1e-13 relative (the float32 sums run in another order).  The
+    sizes include levels whose last block is cut short."""
+    g = Grid(0.0, 1.0, n, 2.0)
+    x = np.random.default_rng(n).normal(size=n + 1)
+    for mu, sigma in HODLR_ORDERS:
+        op = _operator.__wrapped__(g, mu, sigma)
+        want = _loop_matvec(op, x)
+        err = np.linalg.norm(op @ x - want) / np.linalg.norm(want)
+        assert err <= 1e-13, (mu, sigma, err)
+
+
+@pytest.mark.parametrize("n", [129, 1000, 4097])
+def test_stacked_arrays_read_only(n):
+    """Every stored array is frozen, and so are the views that leaves and
+    factors hand out: none can be made writeable again."""
+    op = _operator.__wrapped__(Grid(0.0, 1.0, n, 2.0), 0.5, 1.0 / 3.0)
+    assert len(_arrays(op)) == 1 + 5 * len(op.levels)
+    for a in _arrays(op):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    views = [D for *_, D in op.leaves] + [
+        a for *_, U, V, _, U32, V32 in op.factors for a in (U, V, U32, V32)]
+    for a in views:
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+
+
+def test_operator_bit_identical_across_processes():
+    """Two fresh interpreters build the N = 2048 operator and apply it to
+    one seeded x: the stored arrays and the products are bit-identical, as
+    the benchmark's byte-compared CSVs need."""
+    code = ("import hashlib, numpy as np; "
+            "from hilferbvp.fracops import _operator; "
+            "from hilferbvp.gridfn import Grid; "
+            "op = _operator(Grid(0.0, 1.0, 2048, 2.0), 0.5, 1 / 3); "
+            "x = np.random.default_rng(26).normal(size=2049); "
+            "arrays = [op.D] + [a for lev in op.levels for a in lev[1:]]; "
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in arrays)"
+            "    + (op @ x).tobytes()).hexdigest())")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True, env=env).stdout
+            for _ in range(2)]
+    assert len(runs[0]) == 65 and runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("mu", [0.1, 1.0 / 3.0, 0.5, 5.0 / 6.0, 1.0, 1.7, 2.0])
