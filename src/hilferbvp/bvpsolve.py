@@ -9,22 +9,23 @@ equation z = T z with
            - (t-a)^(gamma-1) / ((1 + c/d) Gamma(gamma)) * (I^(1-gamma+alpha) F)(b)
            + (I^alpha F)(t),          F(s) = f(s, z(s)),
 
-which is what apply_T evaluates, entirely in weighted samples.  Picard
-iteration from the boundary term converges geometrically whenever the
-composite Lipschitz constant of T is below one (see hypcheck).
+which is what apply_T evaluates, entirely in weighted samples.  A solve
+builds T's linear part once (_linear) and runs Picard iteration on arrays
+from the boundary term: geometric convergence when T contracts (hypcheck).
 """
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .fracops import hilfer_gamma, rl_integral, rl_integral_end
-from .gridfn import Grid, WeightedGridFunction, weighted_norm
+from .fracops import _end_row, _operator, hilfer_gamma
+from .gridfn import Grid, WeightedGridFunction
 from .specfun import gamma as gamma_fn
 
 __all__ = [
@@ -147,37 +148,44 @@ def _check_grid(p: ProblemSpec, grid: Grid) -> None:
             f"side at t = a is extrapolated from two interior nodes")
 
 
-def _weighted_rhs(p: ProblemSpec, z: WeightedGridFunction) -> WeightedGridFunction:
-    """Weighted samples of F(s) = f(s, z(s)); node 0 by Richardson
-    extrapolation from the first two interior nodes."""
-    grid = z.grid
-    tau = grid.offsets()
-    vals = np.empty(grid.n_nodes)
-    vals[1:] = tau[1:] ** p.sigma * exprlang.evaluate(
-        p.f, grid.nodes[1:], z.unweighted())
-    vals[0] = (vals[1] * tau[2] - vals[2] * tau[1]) / (tau[2] - tau[1])
-    return WeightedGridFunction(grid, p.sigma, vals)
+def _check_weight(p: ProblemSpec, z: WeightedGridFunction) -> None:
+    _check_grid(p, z.grid)
+    if abs(z.sigma - p.sigma) > 1e-12:
+        raise ValueError(f"z carries sigma = {z.sigma}, problem needs {p.sigma}")
+
+
+# T w = bc - kappa (ell . F) + tau_expo (A F), F = tau_sig f(t, tau_nsig w)
+# at 1..N; A = I^alpha; ell, ell_b: t = b rows of I^(sigma+alpha), I^sigma
+_Linear = namedtuple(
+    "_Linear", "f t tau ell ell_b A kappa bc tau_expo tau_sig tau_nsig")
+
+
+def _linear(p: ProblemSpec, grid: Grid) -> _Linear:
+    _check_grid(p, grid)
+    sig, tau = p.sigma, grid.offsets()
+    expo = sig - max(sig - p.alpha, 0.0)  # alpha when sigma > alpha, else sigma
+    return _Linear(p.f, grid.nodes[1:], tau,  # rows first: lower cold peak
+                   _end_row(grid, float(sig + p.alpha), sig),
+                   _end_row(grid, sig, sig) if sig > 0.0 else None,
+                   _operator(grid, float(p.alpha), sig),
+                   p.resolvent / gamma_fn(p.gamma), p.boundary_const,
+                   tau ** expo, tau[1:] ** sig, tau[1:] ** -sig)
+
+
+def _apply(lin: _Linear, w: np.ndarray) -> np.ndarray:
+    """T on weighted samples w.  F at node 0 is Richardson-extrapolated from
+    the first two interior nodes."""
+    F, tau1, tau2 = np.empty(len(w)), lin.tau[1], lin.tau[2]
+    F[1:] = lin.tau_sig * exprlang.evaluate(lin.f, lin.t, w[1:] * lin.tau_nsig)
+    F[0] = (F[1] * tau2 - F[2] * tau1) / (tau2 - tau1)
+    return lin.bc - lin.kappa * float(lin.ell @ F) + lin.tau_expo * (lin.A @ F)
 
 
 def apply_T(p: ProblemSpec, z: WeightedGridFunction) -> WeightedGridFunction:
     """One application of the equivalent integral operator, in weighted form."""
-    grid = z.grid
-    _check_grid(p, grid)
-    if abs(z.sigma - p.sigma) > 1e-12:
-        raise ValueError(
-            f"z carries sigma = {z.sigma}, problem needs {p.sigma}")
-    tau = grid.offsets()
-    sig = p.sigma
-
-    F = _weighted_rhs(p, z)
-    # the end row before I^alpha: a cold solve then peaks lower
-    tail = rl_integral_end(sig + p.alpha, F)  # order 1 - gamma + alpha
-    i_alpha = rl_integral(p.alpha, F)
-
-    expo = sig - i_alpha.sigma  # alpha when sigma > alpha, else sigma
-    w = p.boundary_const - p.resolvent / gamma_fn(p.gamma) * tail \
-        + tau ** expo * i_alpha.values
-    return WeightedGridFunction(grid, sig, w)
+    _check_weight(p, z)
+    return WeightedGridFunction(z.grid, p.sigma,
+                                _apply(_linear(p, z.grid), z.values))
 
 
 def boundary_functional(p: ProblemSpec, z: WeightedGridFunction) -> float:
@@ -186,14 +194,14 @@ def boundary_functional(p: ProblemSpec, z: WeightedGridFunction) -> float:
     The value at a uses the analytic limit of I^(1-gamma) z, which is
     Gamma(gamma) times the stored weighted limit.
     """
-    _check_grid(p, z.grid)
-    left = p.c * gamma_fn(p.gamma) * float(z.values[0])
-    mu = p.sigma
-    if mu == 0.0:
-        right = float(z.values[-1])
-    else:
-        right = rl_integral_end(mu, z)
-    return left + p.d * right
+    _check_weight(p, z)
+    row = _end_row(z.grid, p.sigma, float(z.sigma)) if p.sigma > 0.0 else None
+    return _functional(p, row, z.values)
+
+
+def _functional(p: ProblemSpec, ell_b, w: np.ndarray) -> float:
+    right = w[-1] if ell_b is None else ell_b @ w
+    return p.c * gamma_fn(p.gamma) * float(w[0]) + p.d * float(right)
 
 
 def check_settings(tol: float, max_iter: int) -> None:
@@ -206,9 +214,9 @@ def check_settings(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
-def _check_finite(z: WeightedGridFunction, iteration: int) -> None:
-    for what, v in (("the weighted iterate", z.values),
-                     ("its unweighted samples", z.unweighted())):
+def _check_finite(lin: _Linear, w: np.ndarray, iteration: int) -> None:
+    for what, v in (("the weighted iterate", w),
+                     ("its unweighted samples", w[1:] * lin.tau_nsig)):
         if not np.all(np.isfinite(v)):
             raise OverflowError(f"Picard iteration {iteration}: {what} overflowed")
 
@@ -224,35 +232,26 @@ def solve_picard(p: ProblemSpec, grid: Grid, *, tol: float = 1e-10,
     when an iterate, or its unweighted samples, stop being finite.
     """
     check_settings(tol, max_iter)
-    z = boundary_term(p, grid)
-    _check_finite(z, 0)
+    lin = _linear(p, grid)
+    w = np.full(grid.n_nodes, lin.bc)
+    _check_finite(lin, w, 0)
     steps: list[float] = []
-    converged = False
-    diverged = False
+    converged = diverged = False
     growth = 0
     for iteration in range(1, max_iter + 1):
-        z_new = apply_T(p, z)
-        _check_finite(z_new, iteration)
-        step = float(np.abs(z_new.values - z.values).max())
-        if steps and step >= DIVERGENCE_FACTOR * steps[-1]:
-            growth += 1
-        else:
-            growth = 0
+        w_new = _apply(lin, w)
+        _check_finite(lin, w_new, iteration)
+        step = float(np.abs(w_new - w).max())
+        grew = bool(steps) and step >= DIVERGENCE_FACTOR * steps[-1]
+        growth = growth + 1 if grew else 0
         steps.append(step)
-        z = z_new
-        if step <= tol:
-            converged = True
+        w = w_new
+        converged, diverged = step <= tol, growth >= 3  # a growing step > tol
+        if converged or diverged:
             break
-        if growth >= 3:
-            diverged = True
-            break
+    vres = bres = math.nan
     if converged:
-        vres = weighted_norm(
-            WeightedGridFunction(grid, p.sigma, apply_T(p, z).values - z.values))
-        bres = abs(boundary_functional(p, z) - p.e)
-    else:
-        vres = math.nan
-        bres = math.nan
-    return SolveResult(solution=z, iterations=len(steps), step_norms=steps,
-                       converged=converged, diverged=diverged,
-                       volterra_residual=vres, boundary_residual=bres)
+        vres = float(np.abs(_apply(lin, w) - w).max())
+        bres = abs(_functional(p, lin.ell_b, w) - p.e)
+    return SolveResult(WeightedGridFunction(grid, p.sigma, w), len(steps),
+                       steps, converged, diverged, vres, bres)

@@ -29,9 +29,9 @@ float32 products, so nothing under- or overflows.  A block of at most
 LEAF // 2 a side comes from an SVD of its samples, a larger one from ACA.  A
 build reads one quadrature table and stacks each level, largest blocks
 first, before it starts the next; beyond one leaf it forms no (N+1)^2 array.
-A value needed only at t = b (rl_integral_end) comes from the last row
-alone, also cached.  Output weighting: sigma_out = max(sigma - mu, 0); the
-node-0 value is w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) if sigma >= mu, else 0.
+A value needed only at t = b comes from the last row (_end_row) alone, also
+cached.  Output weighting: sigma_out = max(sigma - mu, 0); the node-0 value
+is w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) if sigma >= mu, else 0.
 
 hilfer_derivative composes I^(beta(1-alpha)) D I^((1-beta)(1-alpha)) for
 g.sigma <= (1-beta)(1-alpha), where the inner integral u stays bounded.  D
@@ -52,8 +52,8 @@ from .specfun import beta as beta_fn
 from .specfun import gamma
 
 __all__ = [
-    "OrderError", "rl_integral", "rl_integral_end", "power_rule",
-    "hilfer_derivative", "hilfer_gamma",
+    "OrderError", "rl_integral", "power_rule", "hilfer_derivative",
+    "hilfer_gamma",
 ]
 
 
@@ -334,29 +334,17 @@ def _end_row(grid: Grid, mu: float, sigma: float) -> np.ndarray:
         for c in range(0, n, 1024)], axis=1))[0]  # a view cannot be unfrozen
 
 
-def _check_order(mu: float) -> None:
-    if not 0.0 < mu <= 2.0:
-        raise OrderError(f"integral order must be in (0, 2], got {mu}")
-
-
 def rl_integral(mu: float, g: WeightedGridFunction) -> WeightedGridFunction:
     """Riemann-Liouville integral I^mu g on g's grid.
 
     Output carries sigma_out = max(g.sigma - mu, 0); its node-0 value is the
     analytic limit (zero once the integral has soaked up the singularity).
     """
-    _check_order(mu)
+    if not 0.0 < mu <= 2.0:
+        raise OrderError(f"integral order must be in (0, 2], got {mu}")
     M = _operator(g.grid, float(mu), float(g.sigma))
     sigma_out = max(g.sigma - mu, 0.0)
     return WeightedGridFunction(g.grid, sigma_out, M @ g.values)
-
-
-def rl_integral_end(mu: float, g: WeightedGridFunction) -> float:
-    """Stored value of I^mu g at t = b: rl_integral(mu, g).values[-1] from
-    one quadrature row instead of the whole matrix."""
-    _check_order(mu)
-    row = _end_row(g.grid, float(mu), float(g.sigma))
-    return float(row @ g.values)
 
 
 def power_rule(mu: float, p: float, t_minus_a: float) -> float:

@@ -12,6 +12,7 @@ buys algebraic singularities back their convergence order.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -43,6 +44,11 @@ class Grid:
         if not np.isfinite(float(self.b) - float(self.a)):
             raise GridError(
                 f"interval length b - a overflows, got [{self.a}, {self.b}]")
+        n = self.n_panels
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise GridError(f"n_panels must be an integer, got {n!r}")
+        # a numpy integer is stored as int: fracops calls int.bit_length
+        object.__setattr__(self, "n_panels", int(n))
         if self.n_panels < 1:
             raise GridError(f"need at least one panel, got {self.n_panels}")
         if not self.grading >= 1.0:

@@ -75,6 +75,16 @@ def test_apply_t_rejects_sigma_mismatch(p_ex, grid512):
         apply_T(p_ex, fn)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 0.9])
+def test_boundary_functional_rejects_sigma_mismatch(p_ex, sigma):
+    # the example needs sigma = 1/3; any other weighting mixes two of them
+    fn = WeightedGridFunction(Grid(0.0, 1.0, 64, 2.0), sigma, np.ones(65))
+    with pytest.raises(ValueError, match="z carries sigma = .*, problem needs"):
+        boundary_functional(p_ex, fn)
+    with pytest.raises(ValueError, match="z carries sigma = .*, problem needs"):
+        apply_T(p_ex, fn)
+
+
 def _constant_rhs_problem():
     # z-independent right side with a closed-form fixed point
     return ProblemSpec(alpha=0.6, beta=0.25, a=0.0, b=1.0,
@@ -247,3 +257,29 @@ def test_bounds_validation():
     with pytest.raises(ValueError, match="bounds.zeta"):
         Bounds(zeta=math.nan)
     assert Bounds(N_bound=0.0, zeta=0.0, L=0.0).L == 0.0
+
+
+@pytest.mark.parametrize("n", [64, 513])
+def test_one_picard_step_is_apply_t(p_ex, n):
+    """The array loop takes the same step as the public operator, bit for
+    bit, from the boundary term."""
+    g = Grid(0.0, 1.0, n, 2.0)
+    step = solve_picard(p_ex, g, max_iter=1).solution.values
+    assert np.array_equal(step, apply_T(p_ex, boundary_term(p_ex, g)).values)
+
+
+def test_linear_part_built_once_per_solve(p_ex, monkeypatch):
+    from hilferbvp import bvpsolve
+
+    calls = []
+    real = bvpsolve._linear
+    monkeypatch.setattr(bvpsolve, "_linear",
+                        lambda p, g: calls.append(g) or real(p, g))
+    g = Grid(0.0, 1.0, 64, 2.0)
+    counts = []
+    for max_iter in (1, 20):
+        calls.clear()
+        res = solve_picard(p_ex, g, max_iter=max_iter)
+        counts.append(len(calls))
+    assert res.iterations > 1
+    assert counts == [1, 1]

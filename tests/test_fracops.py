@@ -25,7 +25,6 @@ from hilferbvp.fracops import (
     hilfer_gamma,
     power_rule,
     rl_integral,
-    rl_integral_end,
 )
 from hilferbvp.gridfn import Grid, WeightedGridFunction
 from hilferbvp.specfun import beta as beta_fn
@@ -279,12 +278,12 @@ def test_cached_operator_is_read_only():
         row[-1] = 0.0
     with pytest.raises(ValueError):
         row.setflags(write=True)
-    assert rl_integral_end(0.5, fn) == float(row @ fn.values)
+    assert _end_row(g, 0.5, 1.0 / 3.0) is row
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64])
 def test_end_value_matches_last_row(n):
-    """rl_integral_end is the last entry of rl_integral, for sigma >= mu,
+    """_end_row's value is the last entry of rl_integral, for sigma >= mu,
     sigma < mu, and the node-1 closed form at N = 1."""
     g = Grid(0.0, 1.0, n, 2.0)
     rng = np.random.default_rng(n)
@@ -292,10 +291,10 @@ def test_end_value_matches_last_row(n):
         fn = WeightedGridFunction(g, sigma, rng.normal(size=n + 1))
         for mu in (0.1, 0.5, 1.0, 2.0):
             ref = rl_integral(mu, fn).values[-1]
-            got = rl_integral_end(mu, fn)
+            got = float(_end_row(g, mu, sigma) @ fn.values)
             assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
     with pytest.raises(OrderError):
-        rl_integral_end(0.0, fn)
+        rl_integral(0.0, fn)
 
 
 # Reference assembly: fills chunks of target rows from (C, J, K) kernel

@@ -85,6 +85,22 @@ def test_grid_rejects_collapsed_mesh():
         Grid(1e6, 1e6 + 1, 1000, 10.0)
 
 
+@pytest.mark.parametrize("n_panels", [64.5, 64.0, True, "64", None])
+def test_grid_rejects_non_integer_panel_count(n_panels):
+    with pytest.raises(GridError, match="n_panels must be an integer"):
+        Grid(0.0, 1.0, n_panels, 2.0)
+
+
+def test_grid_stores_numpy_panel_count_as_int():
+    from hilferbvp.fracops import _operator
+
+    g = Grid(0.0, 1.0, np.int64(64), 2.0)
+    assert type(g.n_panels) is int and g.n_nodes == 65
+    assert g == Grid(0.0, 1.0, 64, 2.0)
+    assert hash(g) == hash(Grid(0.0, 1.0, 64, 2.0))
+    assert _operator(g, 0.5, 1.0 / 3.0).n == 65
+
+
 def test_grid_equality_and_hash():
     g1 = Grid(0.0, 1.0, 8, 2.0)
     g2 = Grid(0.0, 1.0, 8, 2.0)
