@@ -223,7 +223,10 @@ def cmd_solve(args) -> int:
     res = solve_picard(p, grid, tol=tol, max_iter=max_iter)
     elapsed = time.perf_counter() - t0
     if args.out:
-        write_csv(res.solution, args.out)
+        try:
+            write_csv(res.solution, args.out)
+        except OSError as exc:
+            raise CLIInputError(f"cannot write {args.out}: {exc}") from exc
     _emit(res.to_dict(), args.json)
     if not args.json:
         print(f"# elapsed {elapsed:.3f} s")

@@ -11,27 +11,27 @@ weighted samples w_j = (s_j - a)^sigma g(s_j).  Panel rules:
     interpolant is done in closed form with two Beta values;
   * everything in between: Gauss-Legendre.
 
-The result is linear in the w vector: one builder, _block, gives any
-sub-block of the operator matrix from the rules above, with Gauss rules from
-one Golub-Welsch in numpy.  Each (grid, mu, sigma) gets one cached operator,
-so a fixed-point iteration costs one matrix-vector product per step.  It is
-a HODLR matrix (hierarchically off-diagonal low-rank): a grid of n <= LEAF
-nodes is one dense leaf; a larger one's N = n - 1 panels are halved d times,
-d the least with m = ceil(N / 2^d) <= LEAF // 4, into dense leaves of m
-nodes, stacked.  Each level of strictly-lower blocks, s = m, 2m, 4m, ... < n
-columns wide and truncated to ACA_TOL, is stacked with ranks padded to its
-largest, so a matvec makes one batched product per level and precision (a
-level's last block, cut short at n, is a stack of its own).  A factor column
-whose singular value is at most _F32_CUT = ACA_TOL / (2 eps32) ~ 4.2e-6 of
-the block's largest, s1, is float32, which costs it at most ACA_TOL s1 / 4;
-that part of U is divided by s1, and a matvec divides x by max|x| before the
-float32 products, so nothing under- or overflows.  A block of at most
-LEAF // 2 a side comes from an SVD of its samples, a larger one from ACA.  A
-build reads one quadrature table and stacks each level, largest blocks
-first, before it starts the next; beyond one leaf it forms no (N+1)^2 array.
-A value needed only at t = b comes from the last row (_end_row) alone, also
-cached.  Output weighting: sigma_out = max(sigma - mu, 0); the node-0 value
-is w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) if sigma >= mu, else 0.
+The result is linear in the w vector: one sampler, _sample, gives any stack
+of equal-shaped sub-blocks of the operator matrix (_block is one) from the
+rules above, the kernel laid out (rows, panels, Gauss points) and contracted
+once against [1 - x, x], Gauss rules from one Golub-Welsch.  Each (grid, mu,
+sigma) gets one cached operator, a HODLR matrix (hierarchically off-diagonal
+low-rank), one product per iteration: a grid of n <= LEAF nodes is one dense
+leaf; a larger one's N = n - 1 panels are halved d times, d the least with
+m = ceil(N / 2^d) <= LEAF // 4, into dense leaves of m nodes, stacked.  Each
+level of strictly-lower blocks, s = m, 2m, 4m, ... < n columns wide and
+truncated to ACA_TOL, is stacked with ranks padded to its largest, so a
+matvec makes one batched product per level and precision (a level's last
+block, cut short at n, is a stack of its own).  A factor column whose
+singular value is at most _F32_CUT = ACA_TOL / (2 eps32) ~ 4.2e-6 of the
+block's largest, s1, is float32, its U part divided by s1, and a matvec
+divides x by max|x| first, so nothing under- or overflows.  The leaves and
+the blocks of at most LEAF // 2 a side are sampled as stacks, _CHUNK kernel
+values a call, with one batched SVD per chunk; a larger block is built from
+ACA crosses.  A build reads one table, samples the leaves, then each level,
+largest first; beyond one leaf it forms no (N+1)^2 array.  _end_row, also
+cached, is the last row alone.  Output: sigma_out = max(sigma - mu, 0); node
+0 is w_0 Gamma(1-sigma)/Gamma(1-sigma+mu) if sigma >= mu, else 0.
 
 hilfer_derivative composes I^(beta(1-alpha)) D I^((1-beta)(1-alpha)) for
 g.sigma <= (1-beta)(1-alpha), where the inner integral u stays bounded.  D
@@ -62,6 +62,7 @@ N_GJ = 8  # Gauss-Jacobi points on the singular panels
 LEAF = 128       # largest diagonal block of the operator stored dense
 ACA_TOL = 1e-12  # relative accuracy of each low-rank off-diagonal block
 _F32_CUT = ACA_TOL / (2.0 * np.finfo(np.float32).eps)  # float32 column cut
+_CHUNK = 49152   # most kernel values one stacked sample holds
 
 
 class OrderError(ValueError):
@@ -108,20 +109,25 @@ def _gauss_jacobi_left(n: int, sigma: float):
     return 1.0 - v, w
 
 
-# Shared by every sample of one build: offsets tau, panel widths h, rho and
-# weights ws = w h s^(-sigma) at the Gauss-Legendre points s = h x + tau
-_Table = namedtuple("_Table", "grid mu sigma tau h ws rho")
+# Shared by every sample of one build: offsets tau and widths h, padded so
+# that node i is tau[i + 1] and panel p = -1 .. N starts at tau[p + 1] with
+# width h[p + 1] (both pads lie past b, so every kernel is finite); weights
+# ws = w h s^(-sigma) at the Gauss-Legendre points s = h x + tau, 0 on the
+# pads and, if sigma > 0, on panel 0; rho; W = [1 - x, x], (N_GL, 2)
+_Table = namedtuple("_Table", "mu sigma tau h ws rho W")
 
 
 def _table(grid: Grid, mu: float, sigma: float) -> _Table:
-    tau = grid.offsets()
-    h = np.diff(tau)
+    t = grid.offsets()
+    h = np.diff(t)
+    tau, h = np.append(t[-1] + h[-1], t), np.concatenate([[0.0], h, h[-1:]])
     x, w = _gauss_legendre01(N_GL)
-    ws = w[:, None] * h
-    for k in range(N_GL):  # one Gauss point at a time: no second (N_GL, N)
-        ws[k] *= (h * x[k] + tau[:-1]) ** (-sigma)
-    rho = tau ** max(sigma - mu, 0.0) / gamma(mu)
-    return _Table(grid, mu, sigma, tau, h, ws, rho)
+    ws = np.zeros((len(h), N_GL))
+    real = slice(2 if sigma > 0.0 else 1, -1)
+    for k in range(N_GL):  # one Gauss point at a time: no (N, N_GL) temporary
+        ws[real, k] = w[k] * h[real] * (h[real] * x[k] + tau[real]) ** -sigma
+    rho = t ** max(sigma - mu, 0.0) / gamma(mu)
+    return _Table(mu, sigma, tau, h, ws, rho, np.stack([1.0 - x, x], 1))
 
 
 def _block(grid: Grid, mu: float, sigma: float,
@@ -129,71 +135,74 @@ def _block(grid: Grid, mu: float, sigma: float,
     """Entries [r0:r1, c0:c1] of the matrix taking stored w values of g to
     stored w values of I^mu g.  The 1/Gamma(mu) factor, the output
     weighting, the node-1 closed form and the node-0 limit are applied."""
-    return _sample(_table(grid, mu, sigma), r0, r1, c0, c1)
+    return _sample(_table(grid, mu, sigma), r0, c0, r1 - r0, c1 - c0)[0]
 
 
-def _sample(tab: _Table, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """_block from a prebuilt quadrature table."""
-    grid, mu, sigma, tau, h, ws, rho = tab
-    i = np.arange(r0, r1)
-    first = 2 if sigma > 0.0 else 1   # targets below are set in closed form
-    jmin = first - 1                  # panel 0 has its own rule if sigma > 0
-    # panel p adds to its nodes p and p + 1; E[:, k] is node p0 + k
-    p0, p1 = max(c0 - 1, 0), min(c1, grid.n_panels)
-    E = np.zeros((r1 - r0, p1 - p0 + 1))
+def _win(a: np.ndarray, i: int, L: int, B: int, step: int) -> np.ndarray:
+    """a[i + b step : i + b step + L] for b < B, stacked."""
+    return a[i:i + L][None] if B == 1 else a[
+        i + step * np.arange(B)[:, None] + np.arange(L)]
 
-    # ---- interior panels jmin..i-2, Gauss-Legendre
-    x, _ = _gauss_legendre01(N_GL)
-    p = np.arange(p0, p1)
-    use = (p >= jmin) & (p <= i[:, None] - 2)                      # (R, P)
-    # |t_i - s| > 0 on every panel, so the unused entries stay finite
-    s = h[p0:p1] * x[:, None] + tau[p0:p1]             # (K, P), as in _table
-    kern = np.abs(tau[r0:r1, None, None] - s)                      # (R, K, P)
-    np.power(kern, mu - 1.0, out=kern)
-    kern *= ws[:, p0:p1]
-    E[:, :-1] += ((1.0 - x) @ kern) * use
-    E[:, 1:] += (x @ kern) * use
 
-    # ---- first panel under u^(-sigma), targets beyond it
-    if sigma > 0.0 and p0 == 0:
-        lo = max(r0, 2)
-        u, nu = _gauss_jacobi_left(N_GJ, sigma)
-        kern = (tau[lo:r1, None] - h[0] * u) ** (mu - 1.0)
-        scale = h[0] ** (1.0 - sigma)
-        E[lo - r0:, 0] += scale * (kern @ (nu * (1.0 - u)))
-        E[lo - r0:, 1] += scale * (kern @ (nu * u))
+def _sample(tab: _Table, r0: int, c0: int, R: int, C: int,
+            B: int = 1, step: int = 0) -> np.ndarray:
+    """The blocks [r0, r0 + R) x [c0, c0 + C) of _block moved b step down
+    the diagonal, b < B, stacked as (B, R, C), from a prebuilt table."""
+    mu, sigma, tau, h, ws, rho, W = tab
+    d, t = r0 - c0, _win(tau, r0 + 1, R, B, step)  # t: (B, R) targets
+    # ---- Gauss-Legendre on panels c0 - 1 .. c0 + C - 1 as (B, R, panels,
+    # N_GL), contracted once: GL[..., k, :] goes to slot k's panel's nodes
+    s = _win(h, c0, C + 1, B, step)[..., None] * W[:, 1] + _win(
+        tau, c0, C + 1, B, step)[..., None]
+    kern = t[:, :, None, None] - s[:, None]
+    np.power(np.abs(kern, out=kern), mu - 1.0, out=kern)
+    kern *= _win(ws, c0, C + 1, B, step)[:, None]
+    GL = (kern.reshape(-1, N_GL) @ W).reshape(B, R, C + 1, 2)
 
-    # ---- target-adjacent panel i-1 under (1-v)^(mu-1): rows p0+1..p1 only
-    lo, hi = max(r0, first, p0 + 1), min(r1, p1 + 1)
-    if lo < hi:
+    # ---- target-adjacent panel i-1 under (1-v)^(mu-1), in its slot
+    j = np.arange(max(-d, 0), min(C + 1 - d, R))
+    if len(j):
         v, om = _gauss_jacobi_right(N_GJ, mu)
-        ir = np.arange(lo, hi)
-        hj = h[ir - 1]
-        w8 = om * (tau[ir - 1, None] + hj[:, None] * v) ** (-sigma)
-        scale = hj ** mu
-        E[ir - r0, ir - 1 - p0] += scale * (w8 @ (1.0 - v))
-        E[ir - r0, ir - p0] += scale * (w8 @ v)
+        hj = _win(h, r0, R, B, step)[:, j, None]
+        w8 = om * (_win(tau, r0, R, B, step)[:, j, None] + hj * v) ** -sigma
+        GL[:, j, j + d] = hj ** mu * (w8 @ np.stack([1.0 - v, v], 1))
 
-    if sigma > 0.0 and p0 == 0 and r0 <= 1 < r1:
-        # node-1 target: both singularities on one panel; linear interpolant
-        # integrates in closed form
-        hs = h[0] ** (mu - sigma)
-        b1 = beta_fn(1.0 - sigma, mu)
-        b2 = beta_fn(2.0 - sigma, mu)
-        E[1 - r0, :2] = hs * (b1 - b2), hs * b2
+    if sigma > 0.0 and c0 <= 1:  # ---- first panel under u^(-sigma)
+        u, nu = _gauss_jacobi_left(N_GJ, sigma)
+        lo = max(2 - r0, 0)  # targets beyond it
+        kern = (t[0, lo:, None] - h[1] * u) ** (mu - 1.0)
+        GL[0, lo:, 1 - c0] = h[1] ** (1.0 - sigma) * (
+            kern @ (nu[:, None] * np.stack([1.0 - u, u], 1)))
+        if r0 <= 1 < r0 + R:  # node 1: both singularities, closed form
+            b1, b2 = beta_fn(1.0 - sigma, mu), beta_fn(2.0 - sigma, mu)
+            GL[0, 1 - r0, 1 - c0] = h[1] ** (mu - sigma) * np.array(
+                [b1 - b2, b2])
 
-    # output weighting and the 1/Gamma(mu) front factor
-    M = E[:, c0 - p0:c1 - p0] * rho[r0:r1, None]
-    if sigma >= mu and r0 == 0 and c0 == 0:
-        M[0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
+    # node c0 + k from slots k + 1 and k, the output weighting and the
+    # 1/Gamma(mu) front factor
+    M = GL[..., 1:, 0] + GL[..., :-1, 1]
+    if d < C:  # the block reaches the diagonal: node i has panel i - 1 alone
+        M *= np.tri(R, C, d, dtype=bool)
+        j = np.arange(max(-d, 0), min(C - d, R))
+        M[:, j, j + d] = GL[:, j, j + d, 1]
+    M *= _win(rho, r0, R, B, step)[..., None]
+    if sigma >= mu and r0 == c0 == 0:
+        M[0, 0, 0] = gamma(1.0 - sigma) / gamma(1.0 - sigma + mu)
     return M
 
 
-def _truncated_svd(M: np.ndarray, qu=None, qv=None):
-    """(U, Vt, s1, U32, V32t) with U @ Vt + s1 U32 @ V32t = M (or qu @ M @
-    qv.T) less its singular values <= ACA_TOL s1, s1 the largest; float32
-    U32, V32t hold the singular vectors of values <= _F32_CUT s1."""
-    w, s, zt = np.linalg.svd(M, full_matrices=False)
+def _stacks(tab: _Table, r0: int, c0: int, R: int, C: int, B: int, step: int):
+    """(b, _sample of blocks b, b + 1, ...), _CHUNK kernel values at most."""
+    n = max(_CHUNK // max(R * (C + 1) * N_GL, 1), 1)  # R may be 0
+    for b in range(0, B, n):
+        yield b, _sample(tab, r0 + b * step, c0 + b * step, R, C,
+                         min(n, B - b), step)
+
+
+def _truncated(w, s, zt, qu=None, qv=None):
+    """(U, Vt, s1, U32, V32t) with U @ Vt + s1 U32 @ V32t = the SVD w s zt
+    (or qu @ it @ qv.T) less its singular values <= ACA_TOL s1, s1 the
+    largest; float32 U32, V32t hold the vectors of values <= _F32_CUT s1."""
     r = int(np.count_nonzero(s > ACA_TOL * s[0]))
     k = int(np.count_nonzero(s > _F32_CUT * s[0]))
     s1 = float(s[0])
@@ -205,24 +214,21 @@ def _truncated_svd(M: np.ndarray, qu=None, qv=None):
 
 
 def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
-    """_truncated_svd factors equal to _block(grid, mu, sigma, r0, r1, c0,
-    c1) within ACA_TOL relative: from an SVD of the whole block if it is at
-    most LEAF // 2 a side, else by partial-pivot adaptive cross approximation
+    """_truncated factors equal to _block(grid, mu, sigma, r0, r1, c0, c1)
+    within ACA_TOL relative by partial-pivot adaptive cross approximation
     (ACA, Bebendorf 2000) from ~2r rows and columns, recompressed by QR."""
-    if max(r1 - r0, c1 - c0) <= LEAF // 2:
-        return _truncated_svd(_sample(tab, r0, r1, c0, c1))
     U, V = np.empty((8, r1 - r0)), np.empty((8, c1 - c0))
     k, norm2 = 0, 0.0
     i, free = 0, np.ones(r1 - r0, dtype=bool)
     while free.any():
         free[i] = False
-        a = _sample(tab, r0 + i, r0 + i + 1, c0, c1)[0]
+        a = _sample(tab, r0 + i, c0, 1, c1 - c0)[0, 0]
         a -= U[:k, i] @ V[:k]
         j = int(np.argmax(np.abs(a)))
         if a[j] == 0.0:  # row i already reproduced exactly
             break
         v = a / a[j]
-        u = _sample(tab, r0, r1, c0 + j, c0 + j + 1)[:, 0]
+        u = _sample(tab, r0, c0 + j, r1 - r0, 1)[0, :, 0]
         u -= V[:k, j] @ U[:k]
         step2 = (u @ u) * (v @ v)
         norm2 += step2 + 2.0 * ((U[:k] @ u) @ (V[:k] @ v))
@@ -235,7 +241,7 @@ def _lowrank(tab: _Table, r0: int, r1: int, c0: int, c1: int):
         i = int(np.argmax(np.where(free, np.abs(u), -1.0)))
     qu, ru = np.linalg.qr(U[:k].T)
     qv, rv = np.linalg.qr(V[:k].T)
-    return _truncated_svd(ru @ rv.T, qu, qv)
+    return _truncated(*np.linalg.svd(ru @ rv.T, full_matrices=False), qu, qv)
 
 
 _Level = namedtuple("_Level", "c U Vt s1 U32 V32t")
@@ -292,7 +298,7 @@ class HODLR:
 
 
 def _stack(c: int, blocks: list) -> _Level:
-    """The _Level of the _truncated_svd factors of equal-shaped blocks."""
+    """The _Level of the _truncated factors of equal-shaped blocks."""
     def stacked(parts):  # zero-padded to the largest rank
         out = np.zeros((len(parts), *np.max([p.shape for p in parts], 0)),
                        parts[0].dtype)
@@ -311,16 +317,22 @@ def _operator(grid: Grid, mu: float, sigma: float) -> HODLR:
     N = n - 1  # halve the N panels: then N = 2^k fills every leaf
     d = 0 if n <= LEAF else (-(-N // (LEAF // 4)) - 1).bit_length()
     m = n if n <= LEAF else -(-N // 2 ** d)
+    D = np.zeros((-(-n // m), m, m))  # leaves first: the peak stays lower
+    for lo, k, B in ((0, m, n // m), (n - n % m, n % m, int(n % m > 0))):
+        for b, M in _stacks(tab, lo, lo, k, k, B, m):
+            D[lo // m + b:lo // m + b + len(M), :k, :k] = M
     levels = []
     for s in (m << j for j in reversed(range((N // m).bit_length()))):
         whole = 2 * s * (n // (2 * s))
-        for cols in (range(0, whole, 2 * s), range(whole, n - s, 2 * s)):
-            if cols:  # the second holds the short last block, if any
-                levels.append(_stack(cols[0], [_lowrank(
-                    tab, c + s, min(c + 2 * s, n), c, c + s) for c in cols]))
-    D = np.zeros((-(-n // m), m, m))
-    for lo, hi in ((lo, min(lo + m, n)) for lo in range(0, n, m)):
-        D[lo // m, :hi - lo, :hi - lo] = _sample(tab, lo, hi, lo, hi)
+        for c, B in ((0, n // (2 * s)), (whole, int(whole < n - s))):
+            R = min(2 * s, n - c) - s  # the second: the short last block
+            if B and s > LEAF // 2:
+                levels.append(_stack(c, [_lowrank(tab, k + s, k + s + R, k,
+                    k + s) for k in range(c, c + 2 * s * B, 2 * s)]))
+            elif B:  # sampled whole, one batched SVD per chunk
+                levels.append(_stack(c, [f for _, M in _stacks(
+                    tab, c + s, c, R, s, B, 2 * s) for f in map(
+                    _truncated, *np.linalg.svd(M, full_matrices=False))]))
     return HODLR(n, _frozen(D), tuple(levels))
 
 
@@ -330,7 +342,7 @@ def _end_row(grid: Grid, mu: float, sigma: float) -> np.ndarray:
     no sampled kernel spans the whole row."""
     tab, n = _table(grid, mu, sigma), grid.n_nodes
     return _frozen(np.concatenate([
-        _sample(tab, n - 1, n, c, min(c + 1024, n))
+        _sample(tab, n - 1, c, 1, min(1024, n - c))[0]
         for c in range(0, n, 1024)], axis=1))[0]  # a view cannot be unfrozen
 
 

@@ -363,6 +363,19 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_input_error(example_file, tmp_path, capsys, where):
+    """An --out path in a missing directory, or naming a directory, exits 1
+    with one error line, as an unreadable problem file does."""
+    out = tmp_path / "no" / "such" / "z.csv" if where == "missing-dir" \
+        else tmp_path
+    rc = cli.main(["solve", example_file, "--nodes", "64", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INPUT
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_unknown_flag_and_no_args(capsys):
     assert cli.main(["solve", "x.json", "--bogus"]) == cli.EXIT_INPUT
     assert cli.main([]) == cli.EXIT_INPUT

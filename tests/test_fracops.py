@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 import hilferbvp
+from hilferbvp import fracops
 from hilferbvp.fracops import (
+    _CHUNK,
     _F32_CUT,
     ACA_TOL,
     LEAF,
+    N_GL,
     OrderError,
     _block,
     _end_row,
@@ -421,6 +424,50 @@ def test_lowrank_factors_match_block(n, q):
             assert err <= 1e-11 * np.linalg.norm(want), (mu, sigma, r0, c0)
         for lo, hi, D in op.leaves:
             assert np.array_equal(D, _block(g, mu, sigma, lo, hi, lo, hi))
+
+
+def _recorded_build(g, mu, sigma, monkeypatch):
+    """The HODLR build of (g, mu, sigma) and its _sample calls, each as its
+    shape arguments (r0, c0, R, C, B, step) and a copy of its result."""
+    calls, sample = [], fracops._sample
+
+    def record(tab, r0, c0, R, C, B=1, step=0):
+        out = sample(tab, r0, c0, R, C, B, step)
+        calls.append(((r0, c0, R, C, B, step), out.copy()))
+        return out
+    monkeypatch.setattr(fracops, "_sample", record)
+    op = _operator.__wrapped__(g, mu, sigma)
+    monkeypatch.undo()
+    return op, calls
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n", [129, 1000, 4097])
+def test_stacked_samples_match_block(n, q, monkeypatch):
+    """Each leaf and each whole-sampled block, sampled in a stack, is its
+    standalone _block bit for bit, and no sampler call, ACA crosses
+    included, holds more than 49,152 kernel values, B R (C + 1) N_GL as
+    counted from the call's shape."""
+    g = Grid(0.0, 1.0, n, q)
+    assert _CHUNK == 49152
+    for mu, sigma in HODLR_ORDERS:
+        op, calls = _recorded_build(g, mu, sigma, monkeypatch)
+        assert max(B * R * (C + 1) * N_GL
+                   for (_, _, R, C, B, _), _ in calls) <= _CHUNK
+        leaves = whole = 0
+        for (r0, c0, R, C, B, step), M in calls:
+            if r0 != c0 and not 1 < C <= LEAF // 2:  # an ACA row or column
+                continue
+            assert M.shape == (B, R, C)
+            for b in range(B):
+                r, c = r0 + b * step, c0 + b * step
+                want = _block(g, mu, sigma, r, r + R, c, c + C)
+                assert np.array_equal(M[b], want), (mu, sigma, r, c)
+            leaves += B * (r0 == c0)
+            whole += B * (r0 != c0)
+        assert leaves == len(op.leaves)
+        assert whole == sum(max(r1 - r0, c1 - c0) <= LEAF // 2
+                            for r0, r1, c0, c1, *_ in op.factors)
 
 
 @pytest.mark.parametrize("n", [129, 1000, 4096])
